@@ -1,5 +1,5 @@
 // Microbenchmarks for the event kernel and the network hot paths — the
-// ones the zero-allocation work targets. Four rows:
+// ones the zero-allocation work targets. Five rows:
 //
 //   SimDispatchSteadyState   schedule/dispatch churn entirely inside the
 //                            64-cycle calendar window (the shape of cache
@@ -10,6 +10,13 @@
 //   SimDispatchFarFutureMix  same churn with ~3/4 of delays past the
 //                            window, exercising the binary-heap spill
 //                            path (checkpoint-interval-like timers).
+//   SimDispatchSameCycleBurst
+//                            thousands of far-future timers re-arming
+//                            onto shared deadlines (the shape of the
+//                            MET residence timers), so each deadline
+//                            migrates a burst of ~2k heap events into
+//                            one calendar bucket, over light near-window
+//                            churn that lands on the same cycles.
 //   TorusMessageRouting      16-node torus, 16 messages (a 1:3 data/
 //                            control mix) ping-ponging between corner
 //                            pairs; every hop is an event carrying a
@@ -112,6 +119,50 @@ void benchDispatch(const char* name, std::uint64_t delayMask,
   if (sink == 0xdeadbeef) std::printf("(unlikely)\n");  // keep agents live
 }
 
+/// Far-future timer that, like a MET residence timer, re-arms onto a
+/// deadline it shares with many others: every timer of the same phase
+/// fires on the same cycle and re-arms onto the same next one.
+class BurstTimer {
+ public:
+  static constexpr Cycle kPeriod = 512;
+
+  BurstTimer(Simulator& sim, Cycle phase) : sim_(sim), phase_(phase) {}
+
+  void arm() {
+    const Cycle next = (sim_.now() / kPeriod + 1) * kPeriod + phase_;
+    sim_.scheduleAt(next, [this] {
+      ++fired_;
+      arm();
+    });
+  }
+
+  std::uint64_t fired() const { return fired_; }
+
+ private:
+  Simulator& sim_;
+  Cycle phase_;
+  std::uint64_t fired_ = 0;
+};
+
+void benchSameCycleBurst(std::uint64_t warmupEvents, std::uint64_t events) {
+  Simulator sim;
+  std::vector<BurstTimer> timers;
+  timers.reserve(4096);
+  for (std::size_t i = 0; i < 4096; ++i) {
+    timers.emplace_back(sim, (i % 2) * (BurstTimer::kPeriod / 2));
+  }
+  std::vector<DispatchAgent> agents;
+  agents.reserve(16);
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    agents.emplace_back(sim, 0xb0b50000 + i * 7919, /*delayMask=*/7);
+  }
+  for (auto& t : timers) t.arm();
+  for (auto& a : agents) a.pump();
+  while (sim.eventsExecuted() < warmupEvents) sim.step();
+  measureEvents("SimDispatchSameCycleBurst", sim, events);
+  if (timers[4095].fired() == 0) std::printf("(timers never fired)\n");
+}
+
 // ---------------------------------------------------------------------------
 // Torus routing row
 // ---------------------------------------------------------------------------
@@ -210,6 +261,7 @@ int runAll() {
                 /*warmupEvents=*/1'000'000, /*events=*/4'000'000);
   benchDispatch("SimDispatchFarFutureMix", /*delayMask=*/255,
                 /*warmupEvents=*/500'000, /*events=*/2'000'000);
+  benchSameCycleBurst(/*warmupEvents=*/200'000, /*events=*/2'000'000);
   benchTorus(/*warmupEvents=*/200'000, /*events=*/1'000'000);
   benchBroadcast(/*warmupEvents=*/50'000, /*events=*/200'000);
   return 0;

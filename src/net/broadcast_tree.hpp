@@ -39,6 +39,8 @@ class BroadcastTree {
   void setFaultFilter(FaultFilter f) { faultFilter_ = std::move(f); }
 
   std::uint64_t broadcastsIssued() const { return order_; }
+  /// Broadcasts issued whose delivery to the leaves is still pending.
+  std::size_t messagesInFlight() const { return pool_.liveCount(); }
   void bumpEpoch() { ++epoch_; }
   std::uint64_t totalBytes() const { return totalBytes_; }
   void resetStats() { totalBytes_ = 0; }

@@ -55,6 +55,8 @@ class TorusNetwork {
   const std::vector<std::uint64_t>& linkBytes() const { return linkBytes_; }
   Cycle statsStart() const { return statsStart_; }
   std::uint64_t messagesSent() const { return messagesSent_; }
+  /// Messages injected but not yet delivered or dropped.
+  std::size_t messagesInFlight() const { return pool_.liveCount(); }
 
   /// Mean bytes/cycle on the most heavily loaded directed link since the
   /// last resetStats(). (Figure 7's metric.)

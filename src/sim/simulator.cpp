@@ -46,30 +46,30 @@ void Simulator::pushBucket(Event* e) {
   }
 }
 
-void Simulator::insertBucketOrdered(Event* e) {
+void Simulator::migrateHeapEvents(Cycle t) {
   // Far-future events migrating out of the heap may carry a smaller order
-  // number than same-cycle events appended directly; splice by order so
-  // same-cycle execution still follows scheduling order. Same-cycle chains
-  // are short, so the linear scan is cheap.
-  const std::size_t idx = static_cast<std::size_t>(e->when % kNearWindow);
-  Event* head = bucketHead_[idx];
-  if (head == nullptr) {
-    bucketHead_[idx] = bucketTail_[idx] = e;
-    bucketMask_ |= std::uint64_t{1} << idx;
-    return;
+  // number than same-cycle events appended directly, so each is spliced
+  // into the chain by order. popHeap() yields the cycle's batch in
+  // ascending order, so every splice resumes from the node inserted just
+  // before it: one merge pass, O(batch + chain). Restarting each splice
+  // at the bucket head would make the migration quadratic in the batch,
+  // and a batch can hold thousands of timers converging on one cycle (the
+  // MET residence timers do).
+  const std::size_t idx = static_cast<std::size_t>(t % kNearWindow);
+  Event* prev = nullptr;  // the next splice goes after this; null = head
+  while (!heap_.empty() && heap_.front()->when == t) {
+    Event* e = popHeap();
+    Event* next = prev == nullptr ? bucketHead_[idx] : prev->next;
+    while (next != nullptr && next->order < e->order) {
+      prev = next;
+      next = next->next;
+    }
+    e->next = next;
+    (prev == nullptr ? bucketHead_[idx] : prev->next) = e;
+    if (next == nullptr) bucketTail_[idx] = e;
+    prev = e;
   }
-  if (e->order < head->order) {
-    e->next = head;
-    bucketHead_[idx] = e;
-    return;
-  }
-  Event* prev = head;
-  while (prev->next != nullptr && prev->next->order < e->order) {
-    prev = prev->next;
-  }
-  e->next = prev->next;
-  prev->next = e;
-  if (e->next == nullptr) bucketTail_[idx] = e;
+  bucketMask_ |= std::uint64_t{1} << idx;
 }
 
 void Simulator::pushHeap(Event* e) {
@@ -124,9 +124,7 @@ void Simulator::dispatch(Cycle t) {
   now_ = t;
   // Heap events whose cycle has arrived join the calendar so that events
   // from both structures interleave in global scheduling order.
-  while (!heap_.empty() && heap_.front()->when == t) {
-    insertBucketOrdered(popHeap());
-  }
+  if (!heap_.empty() && heap_.front()->when == t) migrateHeapEvents(t);
   const std::size_t idx = static_cast<std::size_t>(t % kNearWindow);
   Event* e = bucketHead_[idx];
   bucketHead_[idx] = e->next;
@@ -143,40 +141,42 @@ void Simulator::dispatch(Cycle t) {
   fn();
 }
 
-bool Simulator::step() {
+bool Simulator::step() { return dispatchNext(kNoEvent); }
+
+bool Simulator::dispatchNext(Cycle limit) {
   if (size_ == 0) return false;
-  dispatch(peekWhen());
+  const Cycle t = peekWhen();
+  if (t > limit) return false;
+  dispatch(t);
   return true;
 }
 
 std::uint64_t Simulator::run(Cycle limit) {
   // The inner loop is the single hottest path in the whole system, so it
-  // resolves the next event time exactly once per event (the old loop paid
-  // the bucket-mask rotate/scan twice: once in the loop condition and once
-  // again inside step()). There is deliberately no per-event tracer branch
-  // here either — the tracer hangs off the kernel for *components* to
-  // consult at their instrumentation sites; with no tracer attached the
-  // loop below is pop → dispatch → repeat with nothing hoistable left.
+  // resolves the next event time exactly once per event. There is
+  // deliberately no per-event tracer branch here either — the tracer hangs
+  // off the kernel for *components* to consult at their instrumentation
+  // sites; with no tracer attached the loop below is pop → dispatch →
+  // repeat with nothing hoistable left.
   std::uint64_t n = 0;
-  while (size_ != 0) {
-    const Cycle t = peekWhen();
-    if (t > limit) break;
-    dispatch(t);
-    ++n;
-  }
+  while (dispatchNext(limit)) ++n;
   if (now_ < limit && limit != kNoEvent) now_ = limit;
   return n;
 }
 
-bool Simulator::runUntil(const std::function<bool()>& pred, Cycle limit) {
-  if (pred()) return true;
-  while (size_ != 0) {
-    const Cycle t = peekWhen();
-    if (t > limit) break;
-    dispatch(t);
-    if (pred()) return true;
+void Simulator::clear() {
+  for (std::size_t i = 0; i < kNearWindow; ++i) {
+    for (Event* e = bucketHead_[i]; e != nullptr;) {
+      Event* next = e->next;
+      releaseEvent(e);
+      e = next;
+    }
+    bucketHead_[i] = bucketTail_[i] = nullptr;
   }
-  return false;
+  bucketMask_ = 0;
+  for (Event* e : heap_) releaseEvent(e);
+  heap_.clear();
+  size_ = 0;
 }
 
 }  // namespace dvmc

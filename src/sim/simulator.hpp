@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -65,7 +64,20 @@ class Simulator {
 
   /// Runs until `pred()` becomes true (checked after each event), the queue
   /// drains, or `limit` is reached. Returns true if pred was satisfied.
-  bool runUntil(const std::function<bool()>& pred, Cycle limit = ~Cycle{0});
+  /// A template so that the predicate inlines into the dispatch loop.
+  template <class Pred>
+  bool runUntil(Pred&& pred, Cycle limit = ~Cycle{0}) {
+    if (pred()) return true;
+    while (dispatchNext(limit)) {
+      if (pred()) return true;
+    }
+    return false;
+  }
+
+  /// Destroys every pending event without running it. Owners whose
+  /// pending actions hold handles into their own state (pooled messages)
+  /// call this before tearing that state down.
+  void clear();
 
   std::uint64_t eventsExecuted() const { return executed_; }
   bool empty() const { return size_ == 0; }
@@ -97,10 +109,14 @@ class Simulator {
 
   Event* allocEvent(Cycle when, Action fn);
   void releaseEvent(Event* e);
+  /// Executes the earliest pending event if it is due by `limit`; returns
+  /// false (doing nothing) if there is none.
+  bool dispatchNext(Cycle limit);
   /// Executes the earliest pending event; `t` must equal peekWhen().
   void dispatch(Cycle t);
   void pushBucket(Event* e);
-  void insertBucketOrdered(Event* e);
+  /// Moves every heap event due at cycle `t` into t's calendar bucket.
+  void migrateHeapEvents(Cycle t);
   void pushHeap(Event* e);
   Event* popHeap();
   /// Time of the earliest pending event (~Cycle{0} if none).

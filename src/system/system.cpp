@@ -173,7 +173,12 @@ System::System(SystemConfig cfg) : cfg_(std::move(cfg)) {
   }
 }
 
-System::~System() = default;
+System::~System() {
+  // Pending events hold pooled-message handles into the networks' pools,
+  // and members die in reverse declaration order — sim_ after torus_ and
+  // tree_. Destroy the events first, while every pool is still alive.
+  sim_.clear();
+}
 
 std::unique_ptr<ThreadProgram> System::makeProgram(NodeId n) const {
   if (cfg_.programFactory) return cfg_.programFactory(n);

@@ -2,6 +2,8 @@
 // reentrant scheduling, and the run/runUntil drivers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -251,6 +253,73 @@ TEST(Simulator, RandomizedAgainstReferenceOrdering) {
   ASSERT_EQ(executed.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_EQ(executed[i], ref[i].order) << "position " << i;
+  }
+}
+
+TEST(Simulator, SameCycleFarFutureBurstMatchesReferenceOrdering) {
+  // The shape the MET residence timers produce: thousands of far-future
+  // (heap) events converging on a few shared cycles, interleaved with
+  // near-window (calendar) events appended to those same cycles and with
+  // zero-delay schedules made while a burst runs. Execution order must
+  // equal a stable sort on (when, scheduling index).
+  struct Ref {
+    Cycle when;
+    std::uint64_t order;
+  };
+  constexpr Cycle kBursts[] = {5'000, 5'001, 9'000};
+  constexpr Cycle kEnd = 9'100;
+  Simulator sim;
+  std::vector<Ref> ref;
+  std::vector<std::uint64_t> executed;
+  std::uint64_t lcg = 777;
+  std::uint64_t nextId = 0;
+  std::uint64_t farToBurst = 0;
+  std::uint64_t nearToBurst = 0;
+  std::uint64_t zeroDelay = 0;
+  auto rnd = [&] {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lcg >> 33;
+  };
+  std::function<void(std::uint64_t)> body;
+  auto scheduleAt = [&](Cycle when) {
+    const std::uint64_t id = nextId++;
+    ref.push_back({when, id});
+    sim.scheduleAt(when, [&, id] { body(id); });
+  };
+  body = [&](std::uint64_t id) {
+    executed.push_back(id);
+    if (nextId >= 20'000) return;
+    const std::uint64_t r = rnd() % 8;
+    if (r == 0) {
+      ++zeroDelay;
+      scheduleAt(sim.now());
+    } else if (r < 4) {
+      const Cycle burst = kBursts[rnd() % 3];
+      if (burst <= sim.now()) return;
+      ++(burst - sim.now() < 64 ? nearToBurst : farToBurst);
+      scheduleAt(burst);
+    }
+  };
+  // Thousands of heap events per burst cycle, scheduled up front...
+  for (int i = 0; i < 6'000; ++i) scheduleAt(kBursts[rnd() % 3]);
+  // ...and feeder events that keep adding to the bursts, half of them from
+  // inside the 64-cycle window before a burst.
+  for (int i = 0; i < 3'000; ++i) {
+    scheduleAt(rnd() % 2 == 0 ? rnd() % kEnd
+                              : kBursts[rnd() % 3] - 1 - rnd() % 63);
+  }
+  sim.run();
+
+  EXPECT_GT(farToBurst, 100u);
+  EXPECT_GT(nearToBurst, 100u);
+  EXPECT_GT(zeroDelay, 100u);
+  std::stable_sort(ref.begin(), ref.end(), [](const Ref& a, const Ref& b) {
+    if (a.when != b.when) return a.when < b.when;
+    return a.order < b.order;
+  });
+  ASSERT_EQ(executed.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(executed[i], ref[i].order) << "position " << i;
   }
 }
 

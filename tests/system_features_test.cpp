@@ -1,6 +1,6 @@
-// Feature tests for the system layer: automatic recovery, write-buffer
-// coalescing, MET entry eviction, traffic classification, logical clocks,
-// and L1 inclusion.
+// Feature tests for the system layer: automatic recovery, teardown,
+// write-buffer coalescing, MET entry eviction, traffic classification,
+// logical clocks, and L1 inclusion.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -61,6 +61,37 @@ TEST(AutoRecovery, SurvivesRepeatedFaults) {
   RunResult r = sys.runUntil([] { return false; });
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.unrecoverable, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Teardown
+// ---------------------------------------------------------------------------
+
+TEST(SystemTeardown, DestroysCleanlyWithMessagesInFlight) {
+  // Pending events hold pooled-message handles into the networks' pools;
+  // destroying a System stopped mid-flight must free them before the
+  // pools go away (the sanitizer job flags a use-after-free otherwise).
+  for (Protocol proto : {Protocol::kDirectory, Protocol::kSnooping}) {
+    SCOPED_TRACE(protocolName(proto));
+    SystemConfig cfg = SystemConfig::withDvmc(proto, ConsistencyModel::kTSO);
+    cfg.numNodes = 4;
+    cfg.workload = WorkloadKind::kOltp;
+    cfg.targetTransactions = 1'000'000;
+    cfg.maxCycles = 200'000;
+    auto sys = std::make_unique<System>(cfg);
+    BroadcastTree* tree = sys->addrNet();
+    sys->runUntil([&] {
+      return sys->sim().now() >= 20'000 &&
+             sys->dataNet().messagesInFlight() > 0 &&
+             (tree == nullptr || tree->messagesInFlight() > 0);
+    });
+    EXPECT_EQ(tree != nullptr, proto == Protocol::kSnooping);
+    ASSERT_GT(sys->dataNet().messagesInFlight(), 0u);
+    if (tree != nullptr) {
+      ASSERT_GT(tree->messagesInFlight(), 0u);
+    }
+    sys.reset();
+  }
 }
 
 // ---------------------------------------------------------------------------
