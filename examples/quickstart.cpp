@@ -2,12 +2,11 @@
 // DVMC (all three checkers) and SafetyNet, run a commercial-style workload,
 // and print what the machine and the checkers did.
 //
-//   ./quickstart [workload] [model] [snoop] [--stats]
+//   ./quickstart [workload] [sc|tso|pso|rmo] [dir|snoop] [--stats]
 //   e.g. ./quickstart oltp tso
 //        ./quickstart slash rmo snoop --stats
 #include <cstdio>
 #include <iostream>
-#include <string>
 
 #include "system/runner.hpp"
 #include "system/stats_report.hpp"
@@ -17,19 +16,14 @@
 using namespace dvmc;
 
 int runQuickstart(int argc, char** argv, bool stats) {
-  const WorkloadKind wl =
-      argc > 1 ? workloadFromName(argv[1]) : WorkloadKind::kOltp;
+  WorkloadKind wl = WorkloadKind::kOltp;
   ConsistencyModel model = ConsistencyModel::kTSO;
-  if (argc > 2) {
-    const std::string m = argv[2];
-    model = m == "sc"    ? ConsistencyModel::kSC
-            : m == "pso" ? ConsistencyModel::kPSO
-            : m == "rmo" ? ConsistencyModel::kRMO
-                         : ConsistencyModel::kTSO;
+  Protocol protocol = Protocol::kDirectory;
+  if ((argc > 1 && !parseConfigName("quickstart", argv[1], &wl)) ||
+      (argc > 2 && !parseConfigName("quickstart", argv[2], &model)) ||
+      (argc > 3 && !parseConfigName("quickstart", argv[3], &protocol))) {
+    return 2;
   }
-  const Protocol protocol = (argc > 3 && std::string(argv[3]) == "snoop")
-                                ? Protocol::kSnooping
-                                : Protocol::kDirectory;
 
   // One call configures the paper's protected system: SC/TSO/PSO/RMO
   // support, MOSI coherence, the three DVMC checkers, SafetyNet BER.
@@ -111,7 +105,8 @@ int runQuickstart(int argc, char** argv, bool stats) {
 int main(int argc, char** argv) {
   CliParser cli("quickstart",
                 "8-node directory system with full DVMC and SafetyNet");
-  cli.usageLine("quickstart [workload] [model] [snoop] [--stats]");
+  cli.usageLine(
+      "quickstart [workload] [sc|tso|pso|rmo] [dir|snoop] [--stats]");
   bool stats = false;
   cli.flag("--stats", &stats, "print the full statistics report");
   addRunnerFlags(cli);

@@ -138,39 +138,6 @@ struct SystemConfig {
   };
   TraceOptions trace;
 
-  /// Deprecated aliases, kept one release: prefer trace.capture /
-  /// trace.captureLimit. effectiveTrace() folds them in (an alias only
-  /// wins where the new field was left at its default).
-  [[deprecated("use trace.capture")]] bool captureTrace = false;
-  [[deprecated("use trace.captureLimit")]] std::size_t traceCaptureLimit =
-      std::size_t{1} << 22;
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  // The special members copy the deprecated alias fields; defaulting them
-  // inside the suppression keeps the warning scoped to real alias uses.
-  SystemConfig() = default;
-  SystemConfig(const SystemConfig&) = default;
-  SystemConfig& operator=(const SystemConfig&) = default;
-  SystemConfig(SystemConfig&&) = default;
-  SystemConfig& operator=(SystemConfig&&) = default;
-  ~SystemConfig() = default;
-
-  TraceOptions effectiveTrace() const {
-    TraceOptions t = trace;
-    if (captureTrace) t.capture = true;
-    constexpr std::size_t kDefaultLimit = std::size_t{1} << 22;
-    if (traceCaptureLimit != kDefaultLimit && t.captureLimit == kDefaultLimit) {
-      t.captureLimit = traceCaptureLimit;
-    }
-    return t;
-  }
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
   /// Global stop target: total transactions across all processors (barnes:
   /// phases per processor, run to completion).
   std::uint64_t targetTransactions = 400;

@@ -5,8 +5,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -268,6 +270,58 @@ void addRunnerFlags(CliParser& cli) {
       .alias("-j");
 }
 
+namespace {
+
+template <class T>
+bool parseNamed(const char* tool, const char* kind, const std::string& name,
+                std::initializer_list<std::pair<const char*, T>> names,
+                T* out) {
+  std::string expected;
+  for (const auto& [n, v] : names) {
+    if (name == n) {
+      *out = v;
+      return true;
+    }
+    expected += expected.empty() ? n : std::string("|") + n;
+  }
+  std::fprintf(stderr, "%s: unknown %s '%s' (expected %s)\n", tool, kind,
+               name.c_str(), expected.c_str());
+  return false;
+}
+
+}  // namespace
+
+bool parseConfigName(const char* tool, const std::string& name,
+                     Protocol* out) {
+  return parseNamed(tool, "protocol", name,
+                    {{"dir", Protocol::kDirectory},
+                     {"snoop", Protocol::kSnooping}},
+                    out);
+}
+
+bool parseConfigName(const char* tool, const std::string& name,
+                     ConsistencyModel* out) {
+  return parseNamed(tool, "model", name,
+                    {{"sc", ConsistencyModel::kSC},
+                     {"tso", ConsistencyModel::kTSO},
+                     {"pso", ConsistencyModel::kPSO},
+                     {"rmo", ConsistencyModel::kRMO}},
+                    out);
+}
+
+bool parseConfigName(const char* tool, const std::string& name,
+                     WorkloadKind* out) {
+  using W = WorkloadKind;
+  return parseNamed(tool, "workload", name,
+                    {{workloadName(W::kApache), W::kApache},
+                     {workloadName(W::kOltp), W::kOltp},
+                     {workloadName(W::kJbb), W::kJbb},
+                     {workloadName(W::kSlash), W::kSlash},
+                     {workloadName(W::kBarnes), W::kBarnes},
+                     {workloadName(W::kMicroMix), W::kMicroMix}},
+                    out);
+}
+
 int parseJobsFlag(int argc, char** argv) {
   CliParser cli("runner", "runner flags");
   cli.lenient();
@@ -362,7 +416,7 @@ MultiRunResult runSeeds(SystemConfig cfg, int seedCount,
       });
 
   MultiRunResult out;
-  if (cfg.effectiveTrace().capture) {
+  if (cfg.trace.capture) {
     obs::ScopedSpan span("capture");
     out.traces.reserve(results.size());
     for (const RunResult& r : results) out.traces.push_back(r.trace);

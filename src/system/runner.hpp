@@ -79,6 +79,17 @@ int resolveJobs(const SystemConfig& cfg);
 /// bench::addBenchFlags so every binary shares one flag surface.
 void addRunnerFlags(CliParser& cli);
 
+/// The one parser for the config names the single-config tools take as
+/// positionals (dvmc_run, quickstart): "dir" | "snoop", "sc" | "tso" |
+/// "pso" | "rmo", and the workload names of workloadName(). An unknown
+/// name prints "<tool>: unknown <kind> '<name>' (expected ...)" to stderr
+/// and returns false, leaving *out untouched; callers then exit 2.
+bool parseConfigName(const char* tool, const std::string& name, Protocol* out);
+bool parseConfigName(const char* tool, const std::string& name,
+                     ConsistencyModel* out);
+bool parseConfigName(const char* tool, const std::string& name,
+                     WorkloadKind* out);
+
 /// Legacy lenient form: strips a `--jobs N` (or `-j N` / `--jobs=N`) flag
 /// from argv, if present, and feeds it to setDefaultJobs. Returns the new
 /// argc. New code should build a strict CliParser and call addRunnerFlags.

@@ -98,9 +98,7 @@ class SnoopDataRouter final : public NetworkEndpoint {
 }  // namespace
 
 System::System(SystemConfig cfg) : cfg_(std::move(cfg)) {
-  // Fold the deprecated captureTrace/traceCaptureLimit aliases into the
-  // grouped options and validate the result once, up front.
-  cfg_.trace = cfg_.effectiveTrace();
+  // Validate the trace options once, up front.
   if (const char* why = cfg_.trace.validate(); why != nullptr) {
     DVMC_FATAL(why);
   }

@@ -1,11 +1,12 @@
 // Shared fuzz-sweep configuration generator.
 //
-// The fuzz sweep (tests/fuzz_test.cpp), the repro tool
-// (tools/fuzz_repro.cpp), and the campaign driver (tools/dvmc_campaign.cpp)
-// must all derive the *same* randomized configuration from a parameter
-// index — a repro that regenerates the RNG sequence by hand drifts the
-// moment anyone edits the sweep. This is the single source of truth: one
-// param index maps to one deterministic (workload, system) configuration.
+// The fuzz sweep (tests/fuzz_test.cpp), the single-config runner
+// (tools/dvmc_run.cpp --fuzz-param), and the campaign driver
+// (tools/dvmc_campaign.cpp) must all derive the *same* randomized
+// configuration from a parameter index — a repro that regenerates the RNG
+// sequence by hand drifts the moment anyone edits the sweep. This is the
+// single source of truth: one param index maps to one deterministic
+// (workload, system) configuration.
 //
 // Header-only so callers only need their existing dvmc_system link.
 #pragma once

@@ -437,25 +437,6 @@ TEST(LiveDifferential, CapturedTraceBitIdenticalAcrossJobs) {
   }
 }
 
-TEST(TraceOptions, DeprecatedCaptureTraceAliasStillArmsCapture) {
-  SystemConfig cfg = makeFuzzConfig(7);
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  cfg.captureTrace = true;          // the one-release compatibility alias
-  cfg.traceCaptureLimit = 1 << 20;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-  EXPECT_TRUE(cfg.effectiveTrace().capture);
-  EXPECT_EQ(cfg.effectiveTrace().captureLimit, std::size_t{1} << 20);
-  System sys(cfg);
-  const RunResult r = sys.run();
-  ASSERT_NE(r.trace, nullptr);
-  EXPECT_FALSE(r.trace->records.empty());
-}
-
 TEST(TraceOptions, ValidateRejectsInconsistentCombinations) {
   SystemConfig::TraceOptions t;
   EXPECT_EQ(t.validate(), nullptr);  // defaults are consistent

@@ -22,12 +22,15 @@ zero-allocation claim — ANY current allocation in that row fails the
 gate, regardless of the growth margin. Unlike throughput, allocation
 counts are machine-independent, so this gate is tight by design.
 
-The --rss mode gates the in-process memory sampler instead: FILE is a
-dvmc-run-report or dvmc-status document whose "resource" section carries
-peakRssBytes (getrusage high-water mark of the producing process); the
-gate fails when it exceeds --rss-ceiling-mb. This replaces the old
-shell-level getrusage(RUSAGE_CHILDREN) wrapper in CI, which charged every
-subprocess in the step to the same ceiling.
+The --rss mode gates peak memory instead: FILE is a dvmc-run-report or
+dvmc-status document whose "resource" section carries peakRssBytes
+(getrusage high-water mark of the producing process). A dvmc_campaign
+status snapshot also carries workerPeakRssBytes, the largest wait4 MaxRSS
+of its supervised worker processes, where each case's simulation and
+oracle run; when nonzero it is gated too. The gate fails when any peak
+exceeds --rss-ceiling-mb. This replaces the old shell-level
+getrusage(RUSAGE_CHILDREN) wrapper in CI, which charged every subprocess
+in the step to the same ceiling.
 
 Exit status: 0 = within budget, 1 = regression/breach, 2 = bad input.
 """
@@ -48,18 +51,25 @@ def check_rss(path, ceiling_mb):
     # Accept both the nested v2 report/status layout and a bare
     # {"peakRssBytes"/"peak_rss_bytes": N} document.
     holder = resource if isinstance(resource, dict) else doc
-    peak = holder.get("peakRssBytes", holder.get("peak_rss_bytes"))
-    if not isinstance(peak, (int, float)) or peak <= 0:
-        print(f"error: {path}: no peakRssBytes in the resource section",
-              file=sys.stderr)
-        return 2
-    peak_mb = peak / (1024 * 1024)
-    if peak_mb > ceiling_mb:
-        print(f"FAIL: peak RSS {peak_mb:.1f} MB exceeds the "
-              f"{ceiling_mb} MB ceiling", file=sys.stderr)
-        return 1
-    print(f"OK: peak RSS {peak_mb:.1f} MB within the {ceiling_mb} MB ceiling")
-    return 0
+    peaks = {"process": holder.get("peakRssBytes",
+                                   holder.get("peak_rss_bytes"))}
+    # 0 = no worker attempt finished (e.g. a resume with nothing left).
+    if doc.get("workerPeakRssBytes", 0) != 0:
+        peaks["worker"] = doc["workerPeakRssBytes"]
+    rc = 0
+    for who, peak in peaks.items():
+        if not isinstance(peak, (int, float)) or peak <= 0:
+            print(f"error: {path}: no {who} peak RSS", file=sys.stderr)
+            return 2
+        peak_mb = peak / (1024 * 1024)
+        if peak_mb > ceiling_mb:
+            print(f"FAIL: {who} peak RSS {peak_mb:.1f} MB exceeds the "
+                  f"{ceiling_mb} MB ceiling", file=sys.stderr)
+            rc = 1
+        else:
+            print(f"OK: {who} peak RSS {peak_mb:.1f} MB within the "
+                  f"{ceiling_mb} MB ceiling")
+    return rc
 
 
 def load_rows(path):

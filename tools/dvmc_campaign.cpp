@@ -25,8 +25,8 @@
 // judged by the batch oracle — the rerun also regenerates the trace for
 // the escape bundle. --batch-oracle forces that path for every case.
 //
-// Supervision (docs/robustness.md): by default every config runs in its
-// own child process (`dvmc_campaign --worker <spec-json>` self-exec), so a
+// Supervision (docs/robustness.md): every config runs in its own child
+// process (`dvmc_campaign --worker <spec-json>` self-exec), so a
 // wild pointer, sanitizer abort, or livelock in one config cannot take the
 // campaign down. The parent enforces a per-attempt wall-clock deadline
 // (SIGTERM -> grace -> SIGKILL against the child's process group), retries
@@ -36,13 +36,12 @@
 // With --journal each completed config lands as one fsynced dvmc-journal
 // record, and --resume replays those records instead of re-running the
 // work — the merged summary is bit-identical to an uninterrupted run.
-// --in-process restores the old single-process behavior.
 //
 //   dvmc_campaign [--configs N] [--param-base P] [--seed-base S]
 //                 [--clean-only | --faulted] [--jobs N]
 //                 [--escape-dir DIR] [--sample-trace FILE]
 //                 [--batch-oracle] [--max-resident-events N]
-//                 [--in-process] [--attempts K] [--backoff-ms MS]
+//                 [--attempts K] [--backoff-ms MS]
 //                 [--deadline-sec S] [--child-mem-mb MB]
 //                 [--quarantine-dir DIR] [--journal FILE] [--resume FILE]
 //                 [observability flags — --log-json, --status-file,
@@ -50,13 +49,15 @@
 //
 // With --status-file the driver atomically rewrites a live dvmc-status
 // snapshot (configs done/escaped/retried/quarantined, per-child heartbeats
-// with pid and attempt, peak RSS, ETA); `dvmc_inspect watch FILE` tails
-// it and detects a dead producer via --stale-after.
+// with pid and attempt, the parent's and the largest worker's peak RSS,
+// ETA); `dvmc_inspect watch FILE` tails it and detects a dead producer
+// via --stale-after.
 //
 // Exit codes: 0 = full agreement, 1 = escape, false positive, or a config
 // lost to retry exhaustion, 2 = usage.
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -74,7 +75,6 @@
 #include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "common/subprocess.hpp"
-#include "common/thread_pool.hpp"
 #include "common/version.hpp"
 #include "faults/injector.hpp"
 #include "obs/journal.hpp"
@@ -107,8 +107,7 @@ struct CampaignOptions {
   std::string sampleTrace;
   bool batchOracle = false;        // force batch checkTrace for every case
   std::size_t maxResidentEvents = 0;  // streaming live-record ceiling
-  // Supervision (ignored under --in-process).
-  bool inProcess = false;
+  // Supervision.
   int attempts = 3;
   std::uint64_t backoffMs = 500;
   std::uint64_t deadlineSec = 300;  // per-attempt wall clock; 0 = none
@@ -289,8 +288,20 @@ CaseOutcome runFaulted(int param, const CampaignOptions& opt,
   return out;
 }
 
+/// A shell command line that replays `argv` exactly.
+std::string shellCommand(const std::vector<std::string>& argv) {
+  std::string cmd;
+  for (const std::string& a : argv) {
+    if (!cmd.empty()) cmd += ' ';
+    cmd += '\'' + a + '\'';
+  }
+  return cmd;
+}
+
+/// Escape/false-positive bundle: the trace plus a JSON description whose
+/// `repro` is the worker command that replays the case with its seed base.
 void dumpEscape(const CampaignOptions& opt, int param, const char* kind,
-                const CaseOutcome& out) {
+                const CaseOutcome& out, const std::string& repro) {
   std::error_code ec;
   std::filesystem::create_directories(opt.escapeDir, ec);
   const std::string base =
@@ -311,9 +322,7 @@ void dumpEscape(const CampaignOptions& opt, int param, const char* kind,
   j.set("checkersDetected", Json::boolean(out.checkersDetected));
   j.set("violation", Json::str(out.detail));
   j.set("trace", Json::str(base + ".trace"));
-  j.set("repro",
-        Json::str("dvmc_oracle explain " + base + ".trace  # and: fuzz_repro " +
-                  std::to_string(param)));
+  j.set("repro", Json::str(repro));
   std::FILE* f = std::fopen((base + ".json").c_str(), "w");
   if (f != nullptr) {
     const std::string s = j.dump(2);
@@ -401,7 +410,7 @@ void maybeInjectTestCrash(int param, int attempt) {
   }
 }
 
-int runWorkerMode(const char* specText) {
+int runWorkerMode(const char* self, const char* specText) {
   std::string err;
   const std::optional<Json> spec = Json::parse(specText, &err);
   if (!spec || !spec->isObject()) {
@@ -438,6 +447,7 @@ int runWorkerMode(const char* specText) {
   }
 
   maybeInjectTestCrash(param, attempt);
+  const std::string repro = shellCommand({self, "--worker", specText});
 
   Json result = Json::object();
   result.set("schema", Json::str(kResultSchemaName));
@@ -445,12 +455,12 @@ int runWorkerMode(const char* specText) {
   result.set("param", Json::num(std::int64_t{param}));
   if (opt.clean) {
     const CaseOutcome c = runClean(param, opt);
-    if (c.falsePositive) dumpEscape(opt, param, "false_positive", c);
+    if (c.falsePositive) dumpEscape(opt, param, "false_positive", c, repro);
     result.set("clean", caseJson(c));
   }
   if (opt.faulted) {
     const CaseOutcome f = runFaulted(param, opt, opt.seedBase);
-    if (f.escape) dumpEscape(opt, param, "escape", f);
+    if (f.escape) dumpEscape(opt, param, "escape", f, repro);
     result.set("faulted", caseJson(f));
   }
   const std::string line = result.dump();
@@ -513,11 +523,6 @@ void writeQuarantine(const CampaignOptions& opt, int param, int attempt,
   const std::string path = opt.quarantineDir + "/param_" +
                            std::to_string(param) + "_attempt_" +
                            std::to_string(attempt) + ".json";
-  std::string repro;
-  for (const std::string& a : spawn.argv) {
-    if (!repro.empty()) repro += ' ';
-    repro += '\'' + a + '\'';
-  }
   Json j = Json::object();
   j.set("schema", Json::str(kQuarantineSchemaName));
   j.set("version", Json::num(std::int64_t{1}));
@@ -538,7 +543,7 @@ void writeQuarantine(const CampaignOptions& opt, int param, int attempt,
                       .set("cpuSeconds", Json::num(spawn.limits.cpuSeconds))
                       .set("deadlineMs", Json::num(spawn.deadlineMs)));
   j.set("stderrTail", Json::str(r.stderrTail));
-  j.set("repro", Json::str(repro));
+  j.set("repro", Json::str(shellCommand(spawn.argv)));
   j.set("fuzz", Json::object()
                     .set("param", Json::num(std::int64_t{param}))
                     .set("seedBase", Json::num(opt.seedBase)));
@@ -567,7 +572,7 @@ int main(int argc, char** argv) {
   // Self-exec worker protocol, handled before CliParser: the spec is one
   // JSON blob, not flags.
   if (argc >= 3 && std::strcmp(argv[1], "--worker") == 0) {
-    return runWorkerMode(argv[2]);
+    return runWorkerMode(argv[0], argv[2]);
   }
 
   CampaignOptions opt;
@@ -595,12 +600,8 @@ int main(int argc, char** argv) {
   cli.count("--max-resident-events", &opt.maxResidentEvents, "N",
             "streaming: ceiling on live oracle records; a breach reruns "
             "the case under the batch oracle (default: unbounded)");
-  cli.flag("--in-process", &opt.inProcess,
-           "run every config in this process (pre-supervision behavior: "
-           "one crash or hang kills the whole campaign)");
   cli.option("--attempts", &opt.attempts, "K",
-             "max attempts per config under supervision, including the "
-             "first (default 3)");
+             "max attempts per config, including the first (default 3)");
   cli.option("--backoff-ms", &opt.backoffMs, "MS",
              "base retry delay; doubles per retry with deterministic "
              "seed-derived jitter (default 500, 0 = immediate)");
@@ -715,8 +716,6 @@ int main(int argc, char** argv) {
   };
 
   const std::size_t resumed = journaled.size();
-  std::vector<CaseOutcome> cleanOut(opt.clean ? n : 0);
-  std::vector<CaseOutcome> faultOut(opt.faulted ? n : 0);
   std::vector<Json> records(n);
   std::vector<char> recordValid(n, 0);
   std::atomic<std::size_t> doneCount{resumed};
@@ -744,6 +743,10 @@ int main(int argc, char** argv) {
   obs::StatusWriter* status = obs::activeStatusWriter();
   std::mutex inFlightMu;
   std::map<int, Heartbeat> inFlight;
+  // Largest wait4 MaxRSS of any worker attempt (under inFlightMu): the
+  // memory a case's simulation and oracle need; check_perf.py --rss gates
+  // it.
+  std::uint64_t workerPeakRss = 0;
   const auto nowUnixMs = [] {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -761,8 +764,10 @@ int main(int argc, char** argv) {
     if (status == nullptr) return;
     const std::size_t d = doneCount.load();
     Json heartbeats = Json::array();
+    std::uint64_t workerPeak = 0;
     {
       std::lock_guard<std::mutex> lock(inFlightMu);
+      workerPeak = workerPeakRss;
       for (const auto& [param, hb] : inFlight) {
         heartbeats.push(Json::object()
                             .set("param", Json::num(std::int64_t{param}))
@@ -787,6 +792,7 @@ int main(int argc, char** argv) {
     body.set("quarantined",
              Json::num(std::uint64_t{quarantinedSoFar.load()}));
     body.set("lost", Json::num(std::uint64_t{lostSoFar.load()}));
+    body.set("workerPeakRssBytes", Json::num(workerPeak));
     body.set("running", std::move(heartbeats));
     body.set("elapsedMs", Json::num(elapsed));
     body.set("etaMs",
@@ -816,27 +822,97 @@ int main(int argc, char** argv) {
     });
   }
 
-  if (opt.inProcess) {
-    parallelFor(pendingSlots.size(), workers, [&](std::size_t pi) {
-      obs::ScopedSpan span("case");
-      const std::size_t s = pendingSlots[pi];
-      const int param = opt.paramBase + static_cast<int>(s);
-      {
-        std::lock_guard<std::mutex> lock(inFlightMu);
-        inFlight[param] = Heartbeat{nowUnixMs(), 0, 1};
+  const std::string selfExe = selfExePath(argv[0]);
+  const auto makeWorkerOptions = [&](int param, int attempt) {
+    SubprocessOptions o;
+    o.argv = {selfExe, "--worker", workerSpec(opt, param, attempt).dump()};
+    o.deadlineMs = opt.deadlineSec * 1000;
+    o.limits.memoryBytes = opt.childMemMb * 1024 * 1024;
+    o.onSpawn = [&inFlightMu, &inFlight, param](int pid) {
+      std::lock_guard<std::mutex> lock(inFlightMu);
+      if (auto it = inFlight.find(param); it != inFlight.end()) {
+        it->second.pid = pid;
       }
+    };
+    return o;
+  };
+
+  std::vector<SupervisedTask> tasks(pendingSlots.size());
+  for (std::size_t i = 0; i < pendingSlots.size(); ++i) {
+    const int param = opt.paramBase + static_cast<int>(pendingSlots[i]);
+    tasks[i].name = "param " + std::to_string(param);
+    tasks[i].key = static_cast<std::uint64_t>(param);
+    tasks[i].makeOptions = [&makeWorkerOptions, param](int attempt) {
+      return makeWorkerOptions(param, attempt);
+    };
+  }
+
+  RetryPolicy policy;
+  policy.maxAttempts = opt.attempts;
+  policy.baseDelayMs = opt.backoffMs;
+  policy.seed = opt.seedBase;
+  Supervisor sup(workers, policy);
+  std::vector<std::optional<Json>> resultJson(tasks.size());
+  // One "case" profiling span per attempt; the Supervisor runs both hooks
+  // of an attempt on the same thread, as ScopedSpan requires.
+  std::vector<std::optional<obs::ScopedSpan>> caseSpans(tasks.size());
+
+  sup.isSuccess = [&](std::size_t i, const SubprocessResult& r) {
+    if (!r.status.clean()) return false;
+    const int param = opt.paramBase + static_cast<int>(pendingSlots[i]);
+    std::optional<Json> parsed = parseResultLine(r.stdoutTail, param);
+    if (!parsed) return false;
+    resultJson[i] = std::move(parsed);
+    return true;
+  };
+  sup.onAttemptStart = [&](std::size_t i, int attempt) {
+    caseSpans[i].emplace("case");
+    const int param = opt.paramBase + static_cast<int>(pendingSlots[i]);
+    {
+      std::lock_guard<std::mutex> lock(inFlightMu);
+      inFlight[param] = Heartbeat{nowUnixMs(), 0, attempt};
+    }
+    publishStatus("running", /*force=*/false);
+  };
+  sup.onAttemptDone = [&](std::size_t i, int attempt,
+                          const SubprocessResult& r, bool willRetry) {
+    caseSpans[i].reset();
+    const std::size_t s = pendingSlots[i];
+    const int param = opt.paramBase + static_cast<int>(s);
+    {
+      std::lock_guard<std::mutex> lock(inFlightMu);
+      inFlight.erase(param);
+      workerPeakRss = std::max(workerPeakRss, r.maxRssBytes);
+    }
+    if (!resultJson[i].has_value()) {
+      ++quarantinedSoFar;
+      writeQuarantine(opt, param, attempt, makeWorkerOptions(param, attempt),
+                      r);
+      Json fields = Json::object()
+                        .set("param", Json::num(std::int64_t{param}))
+                        .set("attempt", Json::num(std::int64_t{attempt}))
+                        .set("exit", Json::str(r.status.describe()));
+      if (willRetry) {
+        ++retriesSoFar;
+        obs::logWarn("campaign", "config attempt failed; retrying",
+                     std::move(fields));
+      } else {
+        ++lostSoFar;
+        obs::logError("campaign", "config lost: retry budget exhausted",
+                      std::move(fields));
+      }
+    } else {
+      const Json& res = *resultJson[i];
       Json rec = Json::object();
       rec.set("param", Json::num(std::int64_t{param}));
-      rec.set("attempts", Json::num(std::int64_t{1}));
-      if (opt.clean) {
-        cleanOut[s] = runClean(param, opt);
-        if (cleanOut[s].falsePositive) ++falsePositivesSoFar;
-        rec.set("clean", caseJson(cleanOut[s]));
+      rec.set("attempts", Json::num(std::int64_t{attempt}));
+      if (const Json* c = res.find("clean"); c != nullptr) {
+        if (jBool(*c, "falsePositive")) ++falsePositivesSoFar;
+        rec.set("clean", *c);
       }
-      if (opt.faulted) {
-        faultOut[s] = runFaulted(param, opt, opt.seedBase);
-        if (faultOut[s].escape) ++escapesSoFar;
-        rec.set("faulted", caseJson(faultOut[s]));
+      if (const Json* f = res.find("faulted"); f != nullptr) {
+        if (jBool(*f, "escape")) ++escapesSoFar;
+        rec.set("faulted", *f);
       }
       {
         std::lock_guard<std::mutex> lock(journalMu);
@@ -849,10 +925,6 @@ int main(int argc, char** argv) {
         }
         maybeTestExitAfter();
       }
-      {
-        std::lock_guard<std::mutex> lock(inFlightMu);
-        inFlight.erase(param);
-      }
       const std::size_t d = ++doneCount;
       if (d % 25 == 0 || d == n) {
         obs::logInfo("campaign", "progress",
@@ -860,121 +932,10 @@ int main(int argc, char** argv) {
                          .set("done", Json::num(std::uint64_t{d}))
                          .set("total", Json::num(std::uint64_t{n})));
       }
-      publishStatus("running", /*force=*/false);
-    });
-  } else {
-    const std::string selfExe = selfExePath(argv[0]);
-    const auto makeWorkerOptions = [&](int param, int attempt) {
-      SubprocessOptions o;
-      o.argv = {selfExe, "--worker", workerSpec(opt, param, attempt).dump()};
-      o.deadlineMs = opt.deadlineSec * 1000;
-      o.limits.memoryBytes = opt.childMemMb * 1024 * 1024;
-      o.onSpawn = [&inFlightMu, &inFlight, param](int pid) {
-        std::lock_guard<std::mutex> lock(inFlightMu);
-        if (auto it = inFlight.find(param); it != inFlight.end()) {
-          it->second.pid = pid;
-        }
-      };
-      return o;
-    };
-
-    std::vector<SupervisedTask> tasks(pendingSlots.size());
-    for (std::size_t i = 0; i < pendingSlots.size(); ++i) {
-      const int param =
-          opt.paramBase + static_cast<int>(pendingSlots[i]);
-      tasks[i].name = "param " + std::to_string(param);
-      tasks[i].key = static_cast<std::uint64_t>(param);
-      tasks[i].makeOptions = [&makeWorkerOptions, param](int attempt) {
-        return makeWorkerOptions(param, attempt);
-      };
     }
-
-    RetryPolicy policy;
-    policy.maxAttempts = opt.attempts;
-    policy.baseDelayMs = opt.backoffMs;
-    policy.seed = opt.seedBase;
-    Supervisor sup(workers, policy);
-    std::vector<std::optional<Json>> resultJson(tasks.size());
-
-    sup.isSuccess = [&](std::size_t i, const SubprocessResult& r) {
-      if (!r.status.clean()) return false;
-      const int param =
-          opt.paramBase + static_cast<int>(pendingSlots[i]);
-      std::optional<Json> parsed = parseResultLine(r.stdoutTail, param);
-      if (!parsed) return false;
-      resultJson[i] = std::move(parsed);
-      return true;
-    };
-    sup.onAttemptStart = [&](std::size_t i, int attempt) {
-      const int param =
-          opt.paramBase + static_cast<int>(pendingSlots[i]);
-      {
-        std::lock_guard<std::mutex> lock(inFlightMu);
-        inFlight[param] = Heartbeat{nowUnixMs(), 0, attempt};
-      }
-      publishStatus("running", /*force=*/false);
-    };
-    sup.onAttemptDone = [&](std::size_t i, int attempt,
-                            const SubprocessResult& r, bool willRetry) {
-      const std::size_t s = pendingSlots[i];
-      const int param = opt.paramBase + static_cast<int>(s);
-      {
-        std::lock_guard<std::mutex> lock(inFlightMu);
-        inFlight.erase(param);
-      }
-      if (!resultJson[i].has_value()) {
-        ++quarantinedSoFar;
-        writeQuarantine(opt, param, attempt, makeWorkerOptions(param, attempt),
-                        r);
-        Json fields = Json::object()
-                          .set("param", Json::num(std::int64_t{param}))
-                          .set("attempt", Json::num(std::int64_t{attempt}))
-                          .set("exit", Json::str(r.status.describe()));
-        if (willRetry) {
-          ++retriesSoFar;
-          obs::logWarn("campaign", "config attempt failed; retrying",
-                       std::move(fields));
-        } else {
-          ++lostSoFar;
-          obs::logError("campaign", "config lost: retry budget exhausted",
-                        std::move(fields));
-        }
-      } else {
-        const Json& res = *resultJson[i];
-        Json rec = Json::object();
-        rec.set("param", Json::num(std::int64_t{param}));
-        rec.set("attempts", Json::num(std::int64_t{attempt}));
-        if (const Json* c = res.find("clean"); c != nullptr) {
-          if (jBool(*c, "falsePositive")) ++falsePositivesSoFar;
-          rec.set("clean", *c);
-        }
-        if (const Json* f = res.find("faulted"); f != nullptr) {
-          if (jBool(*f, "escape")) ++escapesSoFar;
-          rec.set("faulted", *f);
-        }
-        {
-          std::lock_guard<std::mutex> lock(journalMu);
-          records[s] = std::move(rec);
-          recordValid[s] = 1;
-          if (journal.isOpen() && !journal.append(records[s])) {
-            obs::logError("campaign", "journal append failed",
-                          Json::object().set("file",
-                                             Json::str(journal.path())));
-          }
-          maybeTestExitAfter();
-        }
-        const std::size_t d = ++doneCount;
-        if (d % 25 == 0 || d == n) {
-          obs::logInfo("campaign", "progress",
-                       Json::object()
-                           .set("done", Json::num(std::uint64_t{d}))
-                           .set("total", Json::num(std::uint64_t{n})));
-        }
-      }
-      publishStatus("running", /*force=*/false);
-    };
-    sup.run(tasks);
-  }
+    publishStatus("running", /*force=*/false);
+  };
+  sup.run(tasks);
 
   runFinished.store(true, std::memory_order_release);
   if (ticker.joinable()) ticker.join();
@@ -996,10 +957,6 @@ int main(int argc, char** argv) {
       ++falsePositives;
       std::printf("FALSE-POSITIVE param=%d: %s\n", param,
                   jStr(*c, "detail").c_str());
-      // Supervised workers dump their own bundles (they hold the trace).
-      if (opt.inProcess) {
-        dumpEscape(opt, param, "false_positive", cleanOut[s]);
-      }
     }
     if (!opt.faulted) continue;
     const Json* f = rec.find("faulted");
@@ -1010,7 +967,6 @@ int main(int argc, char** argv) {
                   jStr(*f, "fault").c_str(),
                   static_cast<int>(jInt(*f, "injections")),
                   jStr(*f, "detail").c_str());
-      if (opt.inProcess) dumpEscape(opt, param, "escape", faultOut[s]);
     } else if (jBool(*f, "checkersDetected")) {
       ++detections;
       if (jBool(*f, "oracleViolation")) ++agreements;
@@ -1020,19 +976,13 @@ int main(int argc, char** argv) {
   }
 
   if (!opt.sampleTrace.empty()) {
-    // Streaming and supervised cases never held their trace; regenerate
-    // the first case (deterministic by param) with the capture resident.
-    std::shared_ptr<const verify::CapturedTrace> sample =
-        opt.clean && !cleanOut.empty() ? cleanOut[0].trace
-        : !faultOut.empty()            ? faultOut[0].trace
-                                       : nullptr;
-    if (sample == nullptr) {
-      sample = opt.clean
-                   ? runClean(opt.paramBase, opt, /*keepTrace=*/true).trace
-                   : runFaulted(opt.paramBase, opt, opt.seedBase,
-                                /*keepTrace=*/true)
-                         .trace;
-    }
+    // The workers never hand their trace to the parent; regenerate the
+    // first case (deterministic by param) with the capture resident.
+    const std::shared_ptr<const verify::CapturedTrace> sample =
+        opt.clean ? runClean(opt.paramBase, opt, /*keepTrace=*/true).trace
+                  : runFaulted(opt.paramBase, opt, opt.seedBase,
+                               /*keepTrace=*/true)
+                        .trace;
     std::string err;
     if (sample != nullptr &&
         !verify::writeTraceFile(opt.sampleTrace, *sample, &err)) {
