@@ -47,7 +47,8 @@ Core::Core(Simulator& sim, NodeId node, ConsistencyModel model, CpuConfig cfg,
       vc_(vc),
       ar_(ar),
       dvmc_(dvmc),
-      lastDispatchModel_(model) {
+      lastDispatchModel_(model),
+      transactions_(program_->transactionsCompleted()) {
   // Steady-state ring capacity: the window depths are configuration
   // bounds, so neither queue reallocates on the per-cycle path.
   rob_.reserve(cfg_.robSize);
@@ -99,12 +100,15 @@ bool Core::injectWbValueFault(std::uint64_t rand) {
   if (candidates.empty()) return false;
   WbEntry& w = *candidates[rand % candidates.size()];
   w.value ^= (1ull << ((rand / candidates.size()) % 64));
+  wakeFromQuiet();
   return true;
 }
 
 bool Core::done() const {
-  return program_->finished() && rob_.empty() && wb_.empty() &&
-         replayQueue_.empty() && outstandingStores_ == 0;
+  // Called after every event by the run's stop check: the members first,
+  // the virtual call only once the pipeline is empty.
+  return rob_.empty() && wb_.empty() && replayQueue_.empty() &&
+         outstandingStores_ == 0 && program_->finished();
 }
 
 void Core::wake() {
@@ -132,11 +136,22 @@ Core::RobEntry* Core::entryBySeq(SeqNum seq) {
 }
 
 void Core::tick() {
-  phaseRetire();
-  phaseGate();
-  drainWriteBuffer();
-  phaseExecute();
-  phaseDispatch();
+  if (quiet_ && sim_.now() < quietUntil_) {
+    // Nothing changed since the last full tick, no outside signal came
+    // and no execute latency ran out: running the phases would repeat
+    // that tick exactly, down to its stall counts and its re-arm.
+    bumpStalls(quietStalls_);
+    wake();
+    return;
+  }
+  quiet_ = false;
+  signalled_ = false;
+  tickStalls_ = 0;
+  bool changed = phaseRetire();
+  changed |= phaseGate();
+  changed |= drainWriteBuffer();
+  changed |= phaseExecute();
+  changed |= phaseDispatch();
 
   // Re-arm when there is cycle-driven work left; callback-driven work
   // (cache ops in flight) wakes the core itself.
@@ -161,18 +176,47 @@ void Core::tick() {
        (!program_->finished() && !dispatchBlocked_))) {
     pollable = true;
   }
-  if (pollable) wake();
+  if (!pollable) return;
+  if (!changed && !signalled_ && mayGoQuiet()) {
+    quiet_ = true;
+    quietStalls_ = tickStalls_;
+    quietUntil_ = ~Cycle{0};
+    for (const RobEntry& e : rob_) {
+      if (e.st == St::kIssued && e.readyAt != 0 && e.readyAt < quietUntil_) {
+        quietUntil_ = e.readyAt;
+      }
+    }
+  }
+  wake();
+}
+
+bool Core::mayGoQuiet() const {
+  // Drain pass 0 polls L2 writability for un-issued relaxed entries, state
+  // that coherence changes without telling the core.
+  for (const WbEntry& w : wb_) {
+    if (!w.inFlight && !w.ordered) return false;
+  }
+  return true;
+}
+
+void Core::bumpStalls(std::uint8_t bits) {
+  tickStalls_ |= bits;
+  if ((bits & kStallRobFull) != 0) cRobFullStalls_.inc();
+  if ((bits & kStallMembar) != 0) cMembarStalls_.inc();
+  if ((bits & kStallVcFull) != 0) cVcFullStalls_.inc();
+  if ((bits & kStallWbFull) != 0) cWbFullStalls_.inc();
 }
 
 // --------------------------------------------------------------------------
 // Dispatch
 // --------------------------------------------------------------------------
 
-void Core::phaseDispatch() {
-  for (std::size_t n = 0; n < cfg_.width; ++n) {
+bool Core::phaseDispatch() {
+  std::size_t n = 0;
+  for (; n < cfg_.width; ++n) {
     if (rob_.size() >= cfg_.robSize) {
-      cRobFullStalls_.inc();
-      return;
+      bumpStalls(kStallRobFull);
+      break;
     }
     std::optional<Instr> inst;
     if (!replayQueue_.empty()) {
@@ -182,10 +226,11 @@ void Core::phaseDispatch() {
       replayQueue_.pop_front();
     } else {
       inst = program_->next();
+      transactions_ = program_->transactionsCompleted();
     }
     if (!inst) {
       dispatchBlocked_ = pendingTokens_ > 0;
-      return;
+      break;
     }
     RobEntry e;
     e.inst = *inst;
@@ -197,6 +242,7 @@ void Core::phaseDispatch() {
     rob_.push_back(e);
     cDispatched_.inc();
   }
+  return n > 0;
 }
 
 // --------------------------------------------------------------------------
@@ -240,10 +286,12 @@ std::optional<std::uint64_t> Core::forwardFromPipeline(
   return std::nullopt;
 }
 
-void Core::phaseExecute() {
+bool Core::phaseExecute() {
   // Promote finished latency-based executions first.
+  bool promoted = false;
   for (RobEntry& e : rob_) {
     if (e.st == St::kIssued && e.readyAt != 0 && sim_.now() >= e.readyAt) {
+      promoted = true;
       e.readyAt = 0;
       if (e.squashPending) {
         // A remote write invalidated the block this (forwarded) load read
@@ -271,12 +319,13 @@ void Core::phaseExecute() {
     // younger executes until the switch instruction itself may run.
     if (e.modeSwitch && e.st == St::kDispatched &&
         !(allOlderVerified(e) && outstandingStores_ == 0 && wb_.empty())) {
-      return;
+      break;
     }
     if (e.st != St::kDispatched) continue;
     issueExecute(e);
     if (e.st != St::kDispatched) ++issued;
   }
+  return promoted || issued > 0;
 }
 
 void Core::issueExecute(RobEntry& e) {
@@ -368,6 +417,7 @@ void Core::executeLoad(RobEntry& e) {
   mem_.access(op, [this, seq = e.seq, gen = e.gen, rgen = restartGen_,
                    rmoLoad](const CacheOpResult& r) {
     if (rgen != restartGen_) return;
+    wakeFromQuiet();
     RobEntry* e2 = entryBySeq(seq);
     if (e2 == nullptr || e2->gen != gen) return;
     if (e2->squashPending) {
@@ -415,6 +465,7 @@ void Core::executeAtomic(RobEntry& e) {
   mem_.access(op, [this, seq = e.seq, gen = e.gen,
                    rgen = restartGen_](const CacheOpResult& r) {
     if (rgen != restartGen_) return;
+    wakeFromQuiet();
     RobEntry* e2 = entryBySeq(seq);
     if (e2 == nullptr || e2->gen != gen) return;
     e2->execValue = r.value;
@@ -431,8 +482,9 @@ void Core::executeAtomic(RobEntry& e) {
 // In-order gate (commit + verification stage)
 // --------------------------------------------------------------------------
 
-void Core::phaseGate() {
+bool Core::phaseGate() {
   // Pass 1: promote in program order everything whose gate work finished.
+  bool changed = false;
   while (!rob_.empty()) {
     bool promoted = false;
     for (RobEntry& e : rob_) {
@@ -445,6 +497,7 @@ void Core::phaseGate() {
       break;  // first entry still working: stop promoting
     }
     if (!promoted) break;
+    changed = true;
   }
 
   // Pass 2: admit executed entries into the gate, in order, allowing
@@ -462,22 +515,24 @@ void Core::phaseGate() {
           // An SC store performing at the gate: nothing younger may enter
           // (Store -> Load ordering — a younger replay reading the cache
           // before the store performs would observe the pre-store value).
-          return;
+          return changed;
         }
         ++inGate;
         continue;
       case St::kExecuted:
         gateEntry(e);
+        if (e.st == St::kExecuted) return changed;  // stalled: keep order
+        changed = true;
         if (e.st == St::kGateIssued) {
-          if (e.inst.kind == Instr::Kind::kStore) return;  // SC store
+          if (e.inst.kind == Instr::Kind::kStore) return changed;  // SC store
           ++inGate;
         }
-        if (e.st == St::kExecuted) return;  // stalled: keep order
         continue;
       default:
-        return;  // not yet executed: in-order gate stops here
+        return changed;  // not yet executed: in-order gate stops here
     }
   }
+  return changed;
 }
 
 void Core::gateEntry(RobEntry& e) {
@@ -492,7 +547,7 @@ void Core::gateEntry(RobEntry& e) {
       // expensive); it is also a serializing AR perform event.
       if ((e.inst.membarMask & kStoreFirstBits) != 0 &&
           outstandingStores_ != 0) {
-        cMembarStalls_.inc();
+        bumpStalls(kStallMembar);
         return;  // stall
       }
       if (!allOlderVerified(e)) return;
@@ -519,6 +574,7 @@ void Core::gateEntry(RobEntry& e) {
         mem_.access(op, [this, seq = e.seq, gen = e.gen, rgen = restartGen_](
                             const CacheOpResult&) {
           if (rgen != restartGen_) return;
+          wakeFromQuiet();
           --outstandingStores_;
           RobEntry* e2 = entryBySeq(seq);
           if (e2 == nullptr || e2->gen != gen) return;
@@ -538,7 +594,7 @@ void Core::gateEntry(RobEntry& e) {
       // lives until the store performs out of the write buffer.
       if (vc_ != nullptr) {
         if (!vc_->canAllocate(e.inst.addr, 8)) {
-          cVcFullStalls_.inc();
+          bumpStalls(kStallVcFull);
           return;  // stall until a VC entry frees up
         }
         vc_->storeCommit(e.inst.addr, 8, e.inst.value, e.seq);
@@ -623,6 +679,7 @@ void Core::replayLoad(RobEntry& e) {
   mem_.access(op, [this, seq = e.seq, gen = e.gen,
                    rgen = restartGen_](const CacheOpResult& r) {
     if (rgen != restartGen_) return;
+    wakeFromQuiet();
     RobEntry* e2 = entryBySeq(seq);
     if (e2 == nullptr || e2->gen != gen) return;
     onReplayDone(*e2, r.value, r.l1Hit);
@@ -749,6 +806,7 @@ void Core::deliverToken(RobEntry& e) {
   --pendingTokens_;
   dispatchBlocked_ = false;
   program_->onResult(e.inst.token, e.execValue);
+  transactions_ = program_->transactionsCompleted();
   e.inst.token = 0;
 }
 
@@ -763,10 +821,11 @@ void Core::reportUoViolation(const RobEntry& e, const char* what) {
 // Retire + write buffer
 // --------------------------------------------------------------------------
 
-void Core::phaseRetire() {
-  for (std::size_t n = 0; n < cfg_.width && !rob_.empty(); ++n) {
+bool Core::phaseRetire() {
+  std::size_t n = 0;
+  for (; n < cfg_.width && !rob_.empty(); ++n) {
     RobEntry& e = rob_.front();
-    if (e.st != St::kVerified) return;
+    if (e.st != St::kVerified) break;
     if (e.inst.kind == Instr::Kind::kStore &&
         e.model != ConsistencyModel::kSC) {
       const bool ordered = (e.model == ConsistencyModel::kTSO ||
@@ -804,8 +863,8 @@ void Core::phaseRetire() {
       }
       if (!coalesced) {
         if (wb_.size() >= cfg_.wbCapacity) {
-          cWbFullStalls_.inc();
-          return;
+          bumpStalls(kStallWbFull);
+          break;
         }
         WbEntry w;
         w.addr = e.inst.addr;
@@ -819,9 +878,10 @@ void Core::phaseRetire() {
     cRetired_.inc();
     rob_.pop_front();
   }
+  return n > 0;
 }
 
-void Core::drainWriteBuffer() {
+bool Core::drainWriteBuffer() {
   std::size_t inFlight = 0;
   for (const WbEntry& w : wb_) {
     if (w.inFlight) ++inFlight;
@@ -835,6 +895,7 @@ void Core::drainWriteBuffer() {
     startIdx = 1;
     cInjectedWbReorders_.inc();
   }
+  bool issued = startIdx != 0;
   // Relaxed "optimized store issue policy" (Table 5): among drainable
   // relaxed-mode entries, ones whose block is already owned (M) issue
   // first — they complete without a coherence transaction. Two passes:
@@ -870,6 +931,7 @@ void Core::drainWriteBuffer() {
       ++ownedIssued;
     }
     w.inFlight = true;
+    issued = true;
     ++inFlight;
     if (w.ordered) olderOrderedPending = true;
 
@@ -883,6 +945,7 @@ void Core::drainWriteBuffer() {
     mem_.access(op, [this, seq = w.seq,
                      rgen = restartGen_](const CacheOpResult&) {
       if (rgen != restartGen_) return;
+      wakeFromQuiet();
       for (auto it = wb_.begin(); it != wb_.end(); ++it) {
         if (it->seq == seq) {
           TRACEW(it->addr, "[%llu] n%u store performed seq=%llu val=%llx",
@@ -910,9 +973,10 @@ void Core::drainWriteBuffer() {
       }
       wake();
     });
-    if (faulted) return;  // only the reordered entry issues this round
+    if (faulted) return true;  // only the reordered entry issues this round
   }
   }  // pass
+  return issued;
 }
 
 // --------------------------------------------------------------------------
@@ -926,6 +990,7 @@ void Core::onReadPermissionLost(Addr blk, bool remoteWrite) {
   // any later remote write to the untracked block with a flush (squashing
   // here would livelock a thrashing cache set).
   if (!remoteWrite) return;
+  wakeFromQuiet();
   // Tracks, walking in program order, whether some older operation's
   // perform point is still pending. Only then is a replayed (kGateDone)
   // load's perform not yet anchored in program order; squashing exactly
@@ -1007,17 +1072,19 @@ void Core::restoreState(const ArchSnapshot& snap) {
   if (vc_ != nullptr) vc_->clear();
   if (ar_ != nullptr) ar_->reset();
   program_ = snap.program->clone();
+  transactions_ = program_->transactionsCompleted();
   // Tokens inside the replay list re-deliver when the replayed instruction
   // verifies, matching the cloned program's waiting state.
   replayQueue_.assign(snap.replay.begin(), snap.replay.end());
   lastDispatchModel_ = model_;
   tickArmed_ = false;
+  wakeFromQuiet();
   cRestarts_.inc();
   wake();
 }
 
-void Core::debugDump() const {
-  std::fprintf(stderr, "Core n%u: rob=%zu wb=%zu outStores=%llu pendTok=%llu"
+void Core::debugDump(std::FILE* out) const {
+  std::fprintf(out, "Core n%u: rob=%zu wb=%zu outStores=%llu pendTok=%llu"
                " blocked=%d retired=%llu\n",
                node_, rob_.size(), wb_.size(),
                (unsigned long long)outstandingStores_,
@@ -1026,14 +1093,14 @@ void Core::debugDump() const {
   std::size_t shown = 0;
   for (const RobEntry& e : rob_) {
     if (shown++ >= 6) break;
-    std::fprintf(stderr,
+    std::fprintf(out,
                  "  rob seq=%llu kind=%d st=%d addr=%llx model=%d mask=%x\n",
                  (unsigned long long)e.seq, (int)e.inst.kind, (int)e.st,
                  (unsigned long long)e.inst.addr, (int)e.model,
                  e.inst.membarMask);
   }
   for (const WbEntry& w : wb_) {
-    std::fprintf(stderr, "  wb seq=%llu addr=%llx inFlight=%d ordered=%d\n",
+    std::fprintf(out, "  wb seq=%llu addr=%llx inFlight=%d ordered=%d\n",
                  (unsigned long long)w.seq, (unsigned long long)w.addr,
                  (int)w.inFlight, (int)w.ordered);
   }

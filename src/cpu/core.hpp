@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 
 #include "coherence/hierarchy.hpp"
@@ -71,11 +72,15 @@ class Core final : public CpuNotifier {
   void onReadPermissionLost(Addr blk, bool remoteWrite) override;
 
   const MetricSet& stats() const { return stats_; }
-  void debugDump() const;
+  /// True while ticks repeat the last full tick (see tick()); for tests.
+  bool quiet() const { return quiet_; }
+  /// Pipeline state for hang diagnosis (ROB head, write buffer).
+  void debugDump(std::FILE* out = stderr) const;
   std::uint64_t retired() const { return retiredCount_; }
-  std::uint64_t transactions() const {
-    return program_ ? program_->transactionsCompleted() : 0;
-  }
+  /// The program's completed transactions, refreshed wherever the core
+  /// calls into the program (the only way the count can change), so the
+  /// per-event stop check reads a member instead of a virtual call.
+  std::uint64_t transactions() const { return transactions_; }
   ThreadProgram& program() { return *program_; }
   NodeId node() const { return node_; }
 
@@ -86,7 +91,10 @@ class Core final : public CpuNotifier {
   // --- fault injection hooks (error-detection experiments, §6.1) ---
   /// Corrupts the value of the next executed load (models an LSQ
   /// forwarding/transmission error). Detected by replay (DVUO).
-  void armLoadValueFault() { loadFaultArmed_ = true; }
+  void armLoadValueFault() {
+    loadFaultArmed_ = true;
+    wakeFromQuiet();
+  }
   /// Flips a bit in a resident write-buffer entry's value (models
   /// write-buffer datapath corruption). Detected at VC deallocation.
   bool injectWbValueFault(std::uint64_t rand);
@@ -97,6 +105,7 @@ class Core final : public CpuNotifier {
   bool armWbReorderFault() {
     if (wb_.size() < 2) return false;
     wbReorderArmed_ = true;  // consumed at the next eligible drain round
+    wakeFromQuiet();
     return true;
   }
 
@@ -164,15 +173,32 @@ class Core final : public CpuNotifier {
     bool inFlight = false;
   };
 
+  // Bits of quietStalls_: the per-cycle stall counters a tick bumped.
+  enum StallBit : std::uint8_t {
+    kStallRobFull = 1,
+    kStallMembar = 2,
+    kStallVcFull = 4,
+    kStallWbFull = 8,
+  };
+
   void tick();
   void wake();
   void wakeIn(Cycle d);
+  /// Outside state change (completion callback, squash, restore, fault
+  /// hook): the next tick runs in full.
+  void wakeFromQuiet() {
+    quiet_ = false;
+    signalled_ = true;
+  }
+  bool mayGoQuiet() const;
+  void bumpStalls(std::uint8_t bits);
   void injectTick();
-  void phaseRetire();
-  void phaseGate();
-  void phaseExecute();
-  void phaseDispatch();
-  void drainWriteBuffer();
+  // Each phase returns whether it changed any pipeline state.
+  bool phaseRetire();
+  bool phaseGate();
+  bool phaseExecute();
+  bool phaseDispatch();
+  bool drainWriteBuffer();
   void deliverToken(RobEntry& e);
 
   void issueExecute(RobEntry& e);
@@ -214,7 +240,16 @@ class Core final : public CpuNotifier {
   std::uint64_t retiredCount_ = 0;
   std::uint64_t pendingTokens_ = 0;
   bool dispatchBlocked_ = false;  // program awaits feedback
+  std::uint64_t transactions_ = 0;  // see transactions()
   bool tickArmed_ = false;
+  // Quiet ticks (see tick()): the last full tick changed nothing, so
+  // until an outside signal or quietUntil_ every tick repeats it exactly:
+  // it bumps the stall counters in quietStalls_ and re-arms.
+  bool quiet_ = false;
+  bool signalled_ = false;  // an outside signal arrived since the tick began
+  Cycle quietUntil_ = 0;    // earliest readyAt of a latency-bound entry
+  std::uint8_t quietStalls_ = 0;
+  std::uint8_t tickStalls_ = 0;  // StallBits bumped by the running tick
   bool started_ = false;
   std::uint32_t restartGen_ = 0;  // bumped on BER restart
   bool loadFaultArmed_ = false;

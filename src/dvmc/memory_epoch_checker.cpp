@@ -118,20 +118,54 @@ void MemoryEpochChecker::enqueue(const Message& msg) {
   // oldest (earliest-begin) entry may be processed; the residence window
   // absorbs network-latency skew between informs from different nodes so
   // that begin-time order is (almost) always restored before processing.
-  sim_.schedule(cfg_.informSortDelay, [this] { popTick(); });
+  addRun(sim_.now() + cfg_.informSortDelay, 1);
 }
 
-void MemoryEpochChecker::popTick() {
-  if (queue_.empty()) return;
-  const QueuedInform& top = queue_.front();  // heap top = earliest begin
-  const Cycle rested = sim_.now() - top.arrivalCycle;
-  if (rested < cfg_.informSortDelay) {
-    // The earliest-begin inform arrived recently; give stragglers with
-    // even earlier begins a chance to show up before committing to it.
-    sim_.schedule(cfg_.informSortDelay - rested, [this] { popTick(); });
-    return;
+bool MemoryEpochChecker::runAfter(const TimerRun& a, const TimerRun& b) {
+  return a.when != b.when ? a.when > b.when : a.order > b.order;
+}
+
+void MemoryEpochChecker::addRun(Cycle when, std::uint64_t count) {
+  // The slot is taken now, where a per-timer schedule() would have been.
+  runs_.push_back(TimerRun{when, sim_.reserveOrder(), count});
+  std::push_heap(runs_.begin(), runs_.end(), runAfter);
+  // Outside fireRuns() a new run never precedes the armed one: it is due
+  // at now + informSortDelay with the newest order, and every pending run
+  // was created earlier with a deadline no later than that. fireRuns()
+  // keeps runArmed_ set and arms the earliest run when it is done.
+  if (!runArmed_) armEarliestRun();
+}
+
+void MemoryEpochChecker::armEarliestRun() {
+  runArmed_ = true;
+  const TimerRun& r = runs_.front();
+  sim_.scheduleAtReserved(r.when, r.order, [this] { fireRuns(); });
+}
+
+void MemoryEpochChecker::fireRuns() {
+  const Cycle now = sim_.now();
+  std::uint64_t tokens = 0;  // timers of the runs fired so far, unspent
+  // Runs the timers one by one, as their own events would; a following
+  // run in this cycle joins in when no other event sits between.
+  do {
+    std::pop_heap(runs_.begin(), runs_.end(), runAfter);
+    tokens += runs_.back().count;
+    runs_.pop_back();
+    while (tokens > 0 && !queue_.empty() &&
+           now - queue_.front().arrivalCycle >= cfg_.informSortDelay) {
+      processOldest();
+      --tokens;
+    }
+  } while (!runs_.empty() && runs_.front().when == now &&
+           !sim_.anyEventBefore(now, runs_.front().order));
+  // The timers left over all found the same unrested earliest inform (the
+  // queue cannot change between them) and re-arm onto its deadline, one
+  // after another: a single run. On an empty queue they lapse.
+  if (tokens > 0 && !queue_.empty()) {
+    addRun(queue_.front().arrivalCycle + cfg_.informSortDelay, tokens);
   }
-  processOldest();
+  runArmed_ = false;
+  if (!runs_.empty()) armEarliestRun();
 }
 
 void MemoryEpochChecker::processOldest() {

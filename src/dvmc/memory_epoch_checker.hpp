@@ -84,8 +84,26 @@ class MemoryEpochChecker final : public HomeObserver {
     Cycle arrivalCycle = 0;  // enforces the minimum sorting residence
   };
 
+  /// Residence timers. Each queued inform arms one timer; a timer that
+  /// fires processes the earliest-begin inform if it has rested for
+  /// informSortDelay, re-arms onto that inform's deadline if not, and
+  /// lapses on an empty queue. Timers that share a cycle and follow one
+  /// another in the kernel's same-cycle order form a run: `order` is the
+  /// slot reserved for the first, and the rest take the slots right after
+  /// it, which no other event can occupy.
+  struct TimerRun {
+    Cycle when = 0;
+    std::uint64_t order = 0;
+    std::uint64_t count = 0;
+  };
+
+  /// Min-heap order on (when, order) for the std heap algorithms.
+  static bool runAfter(const TimerRun& a, const TimerRun& b);
+
   void enqueue(const Message& msg);
-  void popTick();
+  void addRun(Cycle when, std::uint64_t count);
+  void armEarliestRun();
+  void fireRuns();
   void maybeEvict(Addr blk, MetEntry& e);
   void processOldest();
   void processInform(const Message& msg);
@@ -101,6 +119,10 @@ class MemoryEpochChecker final : public HomeObserver {
   FlatMap<Addr, MetEntry> met_;
   std::vector<QueuedInform> queue_;  // heap ordered by wrapping begin time
   std::uint64_t arrivalCounter_ = 0;
+  // Pending timer runs, a min-heap on (when, order). Only the earliest is
+  // a kernel event; runs outlive reset(), as the timers they stand for do.
+  std::vector<TimerRun> runs_;
+  bool runArmed_ = false;  // the earliest run's kernel event is pending
 
   // Metric registry (stats_ must precede the handles).
   MetricSet stats_;

@@ -9,7 +9,8 @@ namespace {
 constexpr Cycle kNoEvent = ~Cycle{0};
 }  // namespace
 
-Simulator::Event* Simulator::allocEvent(Cycle when, Action fn) {
+Simulator::Event* Simulator::allocEvent(Cycle when, std::uint64_t order,
+                                        Action fn) {
   if (freeList_ == nullptr) {
     slabs_.emplace_back(new Event[kSlabEvents]);
     Event* slab = slabs_.back().get();
@@ -21,7 +22,7 @@ Simulator::Event* Simulator::allocEvent(Cycle when, Action fn) {
   Event* e = freeList_;
   freeList_ = e->next;
   e->when = when;
-  e->order = nextOrder_++;
+  e->order = order;
   e->fn = std::move(fn);
   e->next = nullptr;
   return e;
@@ -44,6 +45,20 @@ void Simulator::pushBucket(Event* e) {
     bucketTail_[idx]->next = e;
     bucketTail_[idx] = e;
   }
+}
+
+void Simulator::insertBucketOrdered(Event* e) {
+  const std::size_t idx = static_cast<std::size_t>(e->when % kNearWindow);
+  Event* prev = nullptr;
+  Event* next = bucketHead_[idx];
+  while (next != nullptr && next->order < e->order) {
+    prev = next;
+    next = next->next;
+  }
+  e->next = next;
+  (prev == nullptr ? bucketHead_[idx] : prev->next) = e;
+  if (next == nullptr) bucketTail_[idx] = e;
+  bucketMask_ |= std::uint64_t{1} << idx;
 }
 
 void Simulator::migrateHeapEvents(Cycle t) {
@@ -111,13 +126,40 @@ Cycle Simulator::peekWhen() const {
 
 void Simulator::scheduleAt(Cycle when, Action fn) {
   DVMC_ASSERT(when >= now_, "event scheduled in the past");
-  Event* e = allocEvent(when, std::move(fn));
+  Event* e = allocEvent(when, nextOrder_++, std::move(fn));
   if (when - now_ < kNearWindow) {
     pushBucket(e);
   } else {
     pushHeap(e);
   }
   ++size_;
+}
+
+void Simulator::scheduleAtReserved(Cycle when, std::uint64_t order,
+                                   Action fn) {
+  DVMC_ASSERT(when >= now_, "event scheduled in the past");
+  DVMC_ASSERT(order < nextOrder_, "order number was never reserved");
+  Event* e = allocEvent(when, order, std::move(fn));
+  // The heap orders by (when, order) already; a bucket chain is kept
+  // sorted by order, which a plain tail append no longer guarantees.
+  if (when - now_ < kNearWindow) {
+    insertBucketOrdered(e);
+  } else {
+    pushHeap(e);
+  }
+  ++size_;
+}
+
+bool Simulator::anyEventBefore(Cycle when, std::uint64_t order) const {
+  const auto before = [when, order](const Event* e) {
+    return e->when < when || (e->when == when && e->order < order);
+  };
+  if (!heap_.empty() && before(heap_.front())) return true;
+  const Cycle t = nextBucketTime();
+  if (t == kNoEvent) return false;
+  // Each bucket holds a single cycle and is sorted by order, so its head
+  // is that cycle's earliest bucketed event.
+  return before(bucketHead_[static_cast<std::size_t>(t % kNearWindow)]);
 }
 
 void Simulator::dispatch(Cycle t) {

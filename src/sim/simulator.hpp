@@ -55,6 +55,24 @@ class Simulator {
   /// Schedules `fn` at an absolute cycle (must not be in the past).
   void scheduleAt(Cycle when, Action fn);
 
+  // --- reserved slots ---
+  // An owner that coalesces many would-be events into one (the MET's
+  // residence timers) reserves the order number each would have taken,
+  // schedules only the earliest, and asks whether anything else runs
+  // first, so the coalesced work keeps its exact same-cycle position.
+
+  /// The order number a schedule() call made right now would receive.
+  /// Every later schedule() is ordered after it.
+  std::uint64_t reserveOrder() { return nextOrder_++; }
+
+  /// Schedules `fn` at (when, order), where `order` came from
+  /// reserveOrder(): it runs after every same-cycle event with a smaller
+  /// order and before every one with a larger order.
+  void scheduleAtReserved(Cycle when, std::uint64_t order, Action fn);
+
+  /// True when some pending event runs before an event at (when, order).
+  bool anyEventBefore(Cycle when, std::uint64_t order) const;
+
   /// Executes the next event; returns false if the queue is empty.
   bool step();
 
@@ -107,7 +125,7 @@ class Simulator {
   static constexpr Cycle kNearWindow = 64;
   static constexpr std::size_t kSlabEvents = 256;
 
-  Event* allocEvent(Cycle when, Action fn);
+  Event* allocEvent(Cycle when, std::uint64_t order, Action fn);
   void releaseEvent(Event* e);
   /// Executes the earliest pending event if it is due by `limit`; returns
   /// false (doing nothing) if there is none.
@@ -115,6 +133,8 @@ class Simulator {
   /// Executes the earliest pending event; `t` must equal peekWhen().
   void dispatch(Cycle t);
   void pushBucket(Event* e);
+  /// Splices `e` into its bucket chain by order (reserved slots).
+  void insertBucketOrdered(Event* e);
   /// Moves every heap event due at cycle `t` into t's calendar bucket.
   void migrateHeapEvents(Cycle t);
   void pushHeap(Event* e);

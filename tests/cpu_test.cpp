@@ -4,8 +4,11 @@
 // scripted programs through a real memory system.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "system/system.hpp"
@@ -296,6 +299,107 @@ TEST(CpuPipeline, HangWatchdogFiresOnStuckPipeline) {
   EXPECT_EQ(sys.sink().first().kind, CheckerKind::kLostOperation);
   EXPECT_LE(sys.sink().first().cycle, 50'000u);
   (void)r;
+}
+
+// ---------------------------------------------------------------------------
+// Quiet ticks: a tick that changes nothing is repeated in O(1)
+// ---------------------------------------------------------------------------
+
+/// A load miss to a remote block followed by enough computes to fill the
+/// ROB: the computes execute and wait at the in-order gate behind the
+/// load, and dispatch stalls on the full ROB every cycle.
+std::vector<Instr> robFullBehindMiss() {
+  std::vector<Instr> prog = {Instr::load(0x400040)};  // homed at node 1
+  for (int i = 0; i < 200; ++i) prog.push_back(Instr::compute(1));
+  return prog;
+}
+
+TEST(CpuQuiet, StallCountsMatchEveryCycleTicks) {
+  // The stall counters are per-cycle figures: quiet ticks must bump them
+  // exactly as full ticks did (values measured with every tick running
+  // all pipeline phases).
+  System* sys = nullptr;
+  SystemConfig cfg = config(ConsistencyModel::kTSO);
+  cfg.cpu.storePrefetch = false;
+  RunResult r = runScript(cfg, robFullBehindMiss(), &sys);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(sys->core(0).stats().get("cpu.robFullStalls"), 237u);
+
+  // The MembarStoreLoadDrainsWriteBuffer configuration.
+  const Addr remote = 0x400040;
+  std::vector<Instr> with = {Instr::store(remote, 1),
+                             Instr::membar(membar::kStoreLoad)};
+  for (int i = 0; i < 600; ++i) with.push_back(Instr::compute(4));
+  r = runScript(cfg, with, &sys);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(sys->core(0).stats().get("cpu.membarStalls"), 240u);
+}
+
+TEST(CpuQuiet, CoreStalledOnMissGoesQuietAndKeepsCounting) {
+  SystemConfig cfg = config(ConsistencyModel::kTSO);
+  cfg.programFactory = [](NodeId n) -> std::unique_ptr<ThreadProgram> {
+    return std::make_unique<ScriptedProgram>(
+        n == 0 ? robFullBehindMiss() : std::vector<Instr>{});
+  };
+  System sys(cfg);
+  Core& core = sys.core(0);
+  sys.runUntil([&] { return core.quiet(); });
+  ASSERT_TRUE(core.quiet());
+  const Cycle t0 = sys.sim().now();
+  const std::uint64_t s0 = core.stats().get("cpu.robFullStalls");
+  sys.runUntil([&] { return sys.sim().now() >= t0 + 20 || !core.quiet(); });
+  ASSERT_TRUE(core.quiet()) << "the miss returned within 20 cycles";
+  // One stall per quiet tick; the stop check may land before this
+  // cycle's tick.
+  const Cycle elapsed = sys.sim().now() - t0;
+  const std::uint64_t stalls = core.stats().get("cpu.robFullStalls") - s0;
+  EXPECT_GE(stalls + 1, elapsed);
+  EXPECT_LE(stalls, elapsed);
+  const RunResult r = sys.runUntil([] { return false; });
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(core.retired(), 201u);
+}
+
+TEST(CpuQuiet, OutsideSignalsWakeAQuietCore) {
+  // Two remote stores ahead of a Membar #StoreLoad: the gate stalls on
+  // the membar for two store misses, with both stores in the write buffer.
+  SystemConfig cfg = config(ConsistencyModel::kTSO);
+  cfg.cpu.storePrefetch = false;
+  std::vector<Instr> prog = {Instr::store(0x400040, 1),
+                             Instr::store(0x480040, 2),
+                             Instr::membar(membar::kStoreLoad)};
+  for (int i = 0; i < 40; ++i) prog.push_back(Instr::compute(1));
+  cfg.programFactory = [prog](NodeId n) -> std::unique_ptr<ThreadProgram> {
+    return std::make_unique<ScriptedProgram>(
+        n == 0 ? prog : std::vector<Instr>{});
+  };
+  System sys(cfg);
+  Core& core = sys.core(0);
+  const std::vector<std::pair<const char*, std::function<void()>>> signals = {
+      {"armLoadValueFault", [&] { core.armLoadValueFault(); }},
+      {"armWbReorderFault", [&] { ASSERT_TRUE(core.armWbReorderFault()); }},
+      {"injectWbValueFault",
+       [&] { ASSERT_TRUE(core.injectWbValueFault(5)); }},
+      {"remote-write squash",
+       [&] { core.onReadPermissionLost(0x500000, /*remoteWrite=*/true); }},
+      {"restoreState", [&] { core.restoreState(core.snapshotState()); }},
+  };
+  for (const auto& [name, signal] : signals) {
+    SCOPED_TRACE(name);
+    sys.runUntil([&] { return core.quiet(); });
+    ASSERT_TRUE(core.quiet());
+    // Only the two stores have retired, into the write buffer.
+    ASSERT_LE(core.retired(), 2u) << "the membar passed";
+    const Cycle t = sys.sim().now();
+    signal();
+    EXPECT_FALSE(core.quiet());
+    // The next cycle's tick runs in full: it finds nothing to do and goes
+    // quiet again (a restore leaves work to dispatch instead).
+    sys.runUntil([&] { return sys.sim().now() > t + 1; });
+    if (std::string(name) != "restoreState") {
+      EXPECT_TRUE(core.quiet());
+    }
+  }
 }
 
 }  // namespace

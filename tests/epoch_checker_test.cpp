@@ -4,11 +4,16 @@
 // wraparound scrubbing, and 16-bit timestamp wrap behavior.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <vector>
 
 #include "common/crc16.hpp"
+#include "common/rng.hpp"
 #include "dvmc/cache_epoch_checker.hpp"
 #include "dvmc/memory_epoch_checker.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
 namespace dvmc {
@@ -389,6 +394,208 @@ TEST_F(CheckerFixture, MetResetClearsState) {
   EXPECT_EQ(met.metEntries(), 1u);
   met.reset();
   EXPECT_EQ(met.metEntries(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Residence timer runs against one kernel event per inform
+// ---------------------------------------------------------------------------
+
+/// The MET's sorting residence with one kernel event per queued inform: a
+/// firing timer processes the earliest-begin inform once it has rested
+/// informSortDelay, re-arms onto that inform's deadline if it has not, and
+/// lapses on an empty queue. Processing is delegated to a real MET with a
+/// zero-capacity queue, which checks every inform the moment it arrives.
+class ReferenceMet {
+ public:
+  ReferenceMet(Simulator& sim, const DvmcConfig& cfg,
+               MemoryEpochChecker& checker)
+      : sim_(sim), cfg_(cfg), checker_(checker) {}
+
+  void onInform(const Message& m) {
+    queue_.push_back({m, arrivals_++, sim_.now()});
+    std::push_heap(queue_.begin(), queue_.end(), beginsLater);
+    while (queue_.size() > cfg_.informQueueCapacity) processOldest();
+    sim_.schedule(cfg_.informSortDelay, [this] { timer(); });
+  }
+  /// Like MemoryEpochChecker::reset(): pending timers survive.
+  void reset() {
+    queue_.clear();
+    checker_.reset();
+  }
+  const LatencyHistogram& residence() const { return residence_; }
+
+ private:
+  struct Queued {
+    Message msg;
+    std::uint64_t arrival;
+    Cycle at;
+  };
+  static bool beginsLater(const Queued& a, const Queued& b) {
+    if (a.msg.epoch.begin != b.msg.epoch.begin) {
+      return ltimeBefore(b.msg.epoch.begin, a.msg.epoch.begin);
+    }
+    return a.arrival > b.arrival;
+  }
+  void timer() {
+    if (queue_.empty()) return;
+    const Cycle rested = sim_.now() - queue_.front().at;
+    if (rested < cfg_.informSortDelay) {
+      sim_.schedule(cfg_.informSortDelay - rested, [this] { timer(); });
+      return;
+    }
+    processOldest();
+  }
+  void processOldest() {
+    std::pop_heap(queue_.begin(), queue_.end(), beginsLater);
+    residence_.add(sim_.now() - queue_.back().at);
+    const Message m = queue_.back().msg;
+    queue_.pop_back();
+    checker_.onInform(m);
+  }
+
+  Simulator& sim_;
+  DvmcConfig cfg_;
+  MemoryEpochChecker& checker_;
+  std::vector<Queued> queue_;
+  std::uint64_t arrivals_ = 0;
+  LatencyHistogram residence_;
+};
+
+/// One simulated world of the differential test. Both worlds run the same
+/// driver: bursts of informs (some overflowing the queue), marker events
+/// that land on and around the residence deadlines, zero-delay markers,
+/// and the odd reset. The MET's processing and the markers both record
+/// into the world's tracer, so its event list is the processing cycle
+/// and the marker position of every inform.
+struct World {
+  static constexpr Cycle kDelay = 40;
+  static constexpr std::size_t kCapacity = 6;
+
+  World() {
+    cfg.informSortDelay = kDelay;
+    cfg.informQueueCapacity = kCapacity;
+    sim.setTracer(&tracer);
+  }
+
+  /// Schedules the driver; `deliver` hands one inform to the checker
+  /// under test and `reset` resets it.
+  void drive(std::uint64_t seed, std::function<void(const Message&)> deliver,
+             std::function<void()> reset) {
+    Rng rng(seed);
+    std::uint32_t nextId = 1;
+    std::uint64_t nextMarker = 0;
+    std::function<void()> marker = [&, this] {
+      tracer.instant(sim.now(), TraceKind::kPhase, "marker", 0, 0,
+                     nextMarker++);
+      if (rng.chance(0.3)) sim.schedule(0, marker);
+      if (rng.chance(0.25)) sim.schedule(rng.below(2 * kDelay), marker);
+    };
+    auto arrival = [&, this] {
+      const std::uint64_t n = 1 + rng.below(4);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        Message m;
+        m.type = MsgType::kInformEpoch;
+        m.src = nextId++;  // unique: the tracer records it as the arg
+        m.addr = 0x1000 + 64 * rng.below(4);
+        m.epoch.readWrite = rng.chance(0.4);
+        m.epoch.begin = static_cast<LTime16>(sim.now() / 4 + rng.below(40));
+        m.epoch.end = static_cast<LTime16>(m.epoch.begin + 1 + rng.below(20));
+        m.epoch.beginHash = static_cast<std::uint16_t>(rng.below(3));
+        m.epoch.endHash = static_cast<std::uint16_t>(rng.below(3));
+        deliver(m);
+        switch (rng.below(4)) {
+          case 0:  // on the deadline this inform's timer was armed for
+            sim.schedule(kDelay, marker);
+            break;
+          case 1:  // around it
+            sim.schedule(kDelay - 2 + rng.below(5), marker);
+            break;
+          case 2:
+            sim.schedule(0, marker);
+            break;
+          default:
+            break;
+        }
+      }
+      if (rng.chance(0.01)) reset();
+    };
+    for (int i = 0; i < 400; ++i) sim.scheduleAt(rng.below(4'000), arrival);
+    sim.run();
+  }
+
+  Simulator sim;
+  EventTracer tracer;
+  DvmcConfig cfg;
+  ErrorSink sink;
+  FixedClock clock;
+};
+
+TEST(MetResidenceRuns, MatchOneKernelEventPerInform) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    World a;
+    MemoryEpochChecker met(a.sim, /*node=*/1, a.cfg, &a.sink, a.clock);
+    World r;
+    DvmcConfig checkOnArrival = r.cfg;
+    checkOnArrival.informQueueCapacity = 0;
+    MemoryEpochChecker checker(r.sim, /*node=*/1, checkOnArrival, &r.sink,
+                               r.clock);
+    ReferenceMet ref(r.sim, r.cfg, checker);
+    for (Addr blk = 0x1000; blk < 0x1100; blk += 64) {
+      met.onHomeRequest(blk, DataBlock{});
+      checker.onHomeRequest(blk, DataBlock{});
+    }
+    std::map<std::uint64_t, Cycle> arrivedAt;  // by inform id
+    a.drive(seed,
+            [&](const Message& m) {
+              arrivedAt[m.src] = a.sim.now();
+              met.onInform(m);
+            },
+            [&] { met.reset(); });
+    r.drive(seed, [&](const Message& m) { ref.onInform(m); },
+            [&] { ref.reset(); });
+
+    // Every inform processed at the same cycle and between the same
+    // markers, in the same order.
+    ASSERT_EQ(a.tracer.dropped(), 0u);
+    ASSERT_EQ(a.tracer.size(), r.tracer.size());
+    std::size_t processed = 0;
+    std::size_t early = 0;  // processed before their residence was up
+    for (std::size_t i = 0; i < a.tracer.size(); ++i) {
+      const TraceEvent& x = a.tracer.at(i);
+      const TraceEvent& y = r.tracer.at(i);
+      ASSERT_EQ(x.ts, y.ts) << "trace position " << i;
+      ASSERT_STREQ(x.name, y.name) << "trace position " << i;
+      ASSERT_EQ(x.addr, y.addr) << "trace position " << i;
+      ASSERT_EQ(x.arg, y.arg) << "trace position " << i;
+      if (x.kind != TraceKind::kInform) continue;
+      ++processed;
+      if (x.ts - arrivedAt.at(x.arg) < World::kDelay) ++early;
+    }
+    EXPECT_GT(processed, 500u);
+    EXPECT_GT(early, 10u) << "the stream never overflowed the queue";
+
+    const auto& da = a.sink.detections();
+    const auto& dr = r.sink.detections();
+    EXPECT_GT(da.size(), 10u);
+    ASSERT_EQ(da.size(), dr.size());
+    for (std::size_t i = 0; i < da.size(); ++i) {
+      EXPECT_EQ(da[i].cycle, dr[i].cycle) << "detection " << i;
+      EXPECT_EQ(da[i].addr, dr[i].addr) << "detection " << i;
+      EXPECT_EQ(da[i].what, dr[i].what) << "detection " << i;
+    }
+
+    MetricSnapshot snap;
+    met.stats().snapshotInto(snap);
+    const LatencyHistogram& ha = snap.histograms.at("met.informSortResidence");
+    const LatencyHistogram& hr = ref.residence();
+    EXPECT_EQ(ha.count(), hr.count());
+    EXPECT_EQ(ha.sum(), hr.sum());
+    EXPECT_EQ(ha.maxValue(), hr.maxValue());
+    EXPECT_EQ(ha.buckets(), hr.buckets());
+    // The runs took fewer kernel events than one timer per inform.
+    EXPECT_LT(a.sim.eventsExecuted(), r.sim.eventsExecuted());
+  }
 }
 
 }  // namespace

@@ -323,5 +323,61 @@ TEST(Simulator, SameCycleFarFutureBurstMatchesReferenceOrdering) {
   }
 }
 
+TEST(Simulator, ReservedOrderLandsBetweenSameCycleEvents) {
+  // An order reserved between two schedule() calls runs between their
+  // events, whether the target cycle is inside the near window (bucket
+  // splice) or beyond it (heap), and whether it is scheduled before or
+  // after later same-cycle events were appended.
+  for (Cycle when : {Cycle{10}, Cycle{500}}) {
+    SCOPED_TRACE(when);
+    Simulator sim;
+    std::vector<int> order;
+    sim.scheduleAt(when, [&] { order.push_back(1); });
+    const std::uint64_t slotA = sim.reserveOrder();
+    sim.scheduleAt(when, [&] { order.push_back(3); });
+    const std::uint64_t slotB = sim.reserveOrder();
+    sim.scheduleAt(when, [&] { order.push_back(5); });
+    sim.scheduleAtReserved(when, slotB, [&] { order.push_back(4); });
+    sim.scheduleAtReserved(when, slotA, [&] { order.push_back(2); });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  }
+}
+
+TEST(Simulator, ReservedOrderScheduledDuringItsCycle) {
+  // Scheduled while its own cycle runs, a reserved slot still runs before
+  // the pending same-cycle events scheduled after the reservation.
+  Simulator sim;
+  std::vector<int> order;
+  std::uint64_t slot = 0;
+  sim.scheduleAt(7, [&] {
+    order.push_back(1);
+    sim.scheduleAtReserved(7, slot, [&] { order.push_back(2); });
+  });
+  slot = sim.reserveOrder();
+  sim.scheduleAt(7, [&] { order.push_back(3); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Simulator, AnyEventBeforeSeesBucketsAndHeap) {
+  Simulator sim;
+  EXPECT_FALSE(sim.anyEventBefore(100, 0));
+  sim.scheduleAt(20, [] {});                     // near window
+  const std::uint64_t afterNear = sim.reserveOrder();
+  sim.scheduleAt(300, [] {});                    // heap
+  const std::uint64_t afterFar = sim.reserveOrder();
+  // Earlier cycle, same cycle with a smaller or larger order.
+  EXPECT_TRUE(sim.anyEventBefore(21, 0));
+  EXPECT_TRUE(sim.anyEventBefore(20, afterNear));
+  EXPECT_FALSE(sim.anyEventBefore(20, 0));
+  EXPECT_FALSE(sim.anyEventBefore(19, afterFar));
+  sim.step();  // runs cycle 20; only the heap event at 300 is left
+  EXPECT_FALSE(sim.anyEventBefore(300, 0));
+  EXPECT_TRUE(sim.anyEventBefore(300, afterFar));
+  EXPECT_TRUE(sim.anyEventBefore(301, 0));
+  EXPECT_FALSE(sim.anyEventBefore(299, afterFar));
+}
+
 }  // namespace
 }  // namespace dvmc
