@@ -113,6 +113,10 @@ class ThreadProgram {
   virtual ~ThreadProgram() = default;
 
   /// Next instruction, or nullopt when finished or awaiting feedback.
+  /// Once it returns nullopt, the core may stop calling it until it
+  /// delivers a result through onResult() (or replaces the program on
+  /// recovery): until then, next() must keep returning nullopt and have no
+  /// further side effect.
   virtual std::optional<Instr> next() = 0;
 
   /// Final (verified) value of an instruction that carried a token.
