@@ -37,19 +37,6 @@ const CacheLine* CacheArray::find(Addr blk) const {
   return const_cast<CacheArray*>(this)->find(blk);
 }
 
-CacheLine* CacheArray::victim(
-    Addr blk, const std::function<bool(const CacheLine&)>& evictable) {
-  const std::size_t base = setIndex(blk) * geom_.ways;
-  CacheLine* best = nullptr;
-  for (std::size_t w = 0; w < geom_.ways; ++w) {
-    CacheLine& line = lines_[base + w];
-    if (!line.valid) return &line;
-    if (!evictable(line)) continue;
-    if (best == nullptr || line.lastUse < best->lastUse) best = &line;
-  }
-  return best;
-}
-
 void CacheArray::install(CacheLine& line, Addr blk, MosiState st,
                          const DataBlock& d) {
   DVMC_ASSERT(blockAddr(blk) == blk, "install expects a block address");
@@ -117,12 +104,6 @@ std::optional<std::pair<Addr, MosiState>> CacheArray::injectStateFlip(
   line.state =
       (line.state == MosiState::kM) ? MosiState::kS : MosiState::kM;
   return std::make_pair(line.tag, line.state);
-}
-
-void CacheArray::forEachValid(const std::function<void(CacheLine&)>& fn) {
-  for (auto& line : lines_) {
-    if (line.valid) fn(line);
-  }
 }
 
 void CacheArray::dumpForensics(Json& out, Addr focus) const {

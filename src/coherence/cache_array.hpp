@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -58,8 +57,18 @@ class CacheArray {
   /// in-flight transactions must be skipped). Returns nullptr if every way
   /// is pinned. The returned line may hold a valid block that the caller
   /// must evict first.
-  CacheLine* victim(Addr blk,
-                    const std::function<bool(const CacheLine&)>& evictable);
+  template <class Evictable>
+  CacheLine* victim(Addr blk, Evictable&& evictable) {
+    const std::size_t base = setIndex(blk) * geom_.ways;
+    CacheLine* best = nullptr;
+    for (std::size_t w = 0; w < geom_.ways; ++w) {
+      CacheLine& line = lines_[base + w];
+      if (!line.valid) return &line;
+      if (!evictable(static_cast<const CacheLine&>(line))) continue;
+      if (best == nullptr || line.lastUse < best->lastUse) best = &line;
+    }
+    return best;
+  }
 
   /// Installs `blk` into the given line (caller handled any eviction).
   void install(CacheLine& line, Addr blk, MosiState st, const DataBlock& d);
@@ -79,7 +88,12 @@ class CacheArray {
       std::uint64_t rand);
 
   /// Iterates over all valid lines (checkpointing, invalidation sweeps).
-  void forEachValid(const std::function<void(CacheLine&)>& fn);
+  template <class Fn>
+  void forEachValid(Fn&& fn) {
+    for (auto& line : lines_) {
+      if (line.valid) fn(line);
+    }
+  }
 
   std::size_t numSets() const { return geom_.sets; }
   std::size_t numWays() const { return geom_.ways; }

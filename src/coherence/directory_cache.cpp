@@ -37,9 +37,9 @@ void DirectoryCacheController::request(const CacheOp& op, CacheOpCallback cb) {
                          op.kind == CacheOp::Kind::kAtomicSwap ||
                          op.kind == CacheOp::Kind::kAtomicCas;
   const Cycle lat = writePath ? timings_.storeLatency : timings_.l2Latency;
-  sim_.schedule(lat, [this, op, cb = std::move(cb), g = gen_] {
+  sim_.schedule(lat, [this, op, cb = std::move(cb), g = gen_]() mutable {
     if (g != gen_) return;  // squashed by BER recovery
-    processOp(op, cb);
+    processOp(op, std::move(cb));
   });
 }
 
@@ -50,7 +50,7 @@ void DirectoryCacheController::processOp(const CacheOp& op,
   // A transaction is already in flight: queue behind it.
   auto mit = mshrs_.find(blk);
   if (mit != mshrs_.end()) {
-    mit->second.ops.push_back(PendingOp{op, std::move(cb)});
+    opPool_.push(mit->second.ops, PendingOp{op, std::move(cb)});
     return;
   }
 
@@ -107,7 +107,7 @@ void DirectoryCacheController::processOp(const CacheOp& op,
 }
 
 void DirectoryCacheController::completeOp(const CacheOp& op,
-                                          const CacheOpCallback& cb,
+                                          CacheOpCallback& cb,
                                           std::uint64_t value,
                                           bool performed) {
   if (performed && epochs_ != nullptr) {
@@ -117,10 +117,10 @@ void DirectoryCacheController::completeOp(const CacheOp& op,
     epochs_->onPerformAccess(blockAddr(op.addr), isWrite);
   }
   CacheOpResult r;
-  r.tag = op.tag;
   r.value = value;
   r.performLogical = clock_->now();
   r.completedAt = sim_.now();
+  if (cpu_ != nullptr) cpu_->onOpCompleted(op, r);
   if (cb) cb(r);
 }
 
@@ -128,7 +128,7 @@ void DirectoryCacheController::startTransaction(Addr blk, bool wantM,
                                                 PendingOp pending) {
   Mshr& m = mshrs_[blk];
   m.wantM = wantM;
-  m.ops.push_back(std::move(pending));
+  opPool_.push(m.ops, std::move(pending));
   if (wbBuffer_.count(blk) != 0) {
     // Our own writeback for this block is still in flight; wait for the
     // PutAck/Nack before re-requesting, so the home never sees the current
@@ -285,7 +285,8 @@ void DirectoryCacheController::finalizeTransaction(Addr blk) {
 
   // Re-dispatch queued operations; each either hits now or (e.g., a store
   // queued behind a GetS) starts its own follow-up transaction.
-  for (auto& p : m.ops) {
+  while (!m.ops.empty()) {
+    PendingOp p = opPool_.pop(m.ops);
     processOp(p.op, std::move(p.cb));
   }
 }
@@ -437,6 +438,7 @@ void DirectoryCacheController::invalidateAll() {
     line.valid = false;
     line.state = MosiState::kI;
   });
+  for (auto& kv : mshrs_) opPool_.clear(kv.second.ops);
   mshrs_.clear();
   wbBuffer_.clear();
   ++gen_;  // squash scheduled controller events from the rolled-back past

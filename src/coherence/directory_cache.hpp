@@ -15,13 +15,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 
 #include "coherence/cache_array.hpp"
 #include "coherence/interfaces.hpp"
 #include "common/error_sink.hpp"
 #include "common/flat_map.hpp"
+#include "common/pooled_fifo.hpp"
 #include "obs/metrics.hpp"
 #include "net/torus.hpp"
 #include "sim/simulator.hpp"
@@ -77,11 +77,11 @@ class DirectoryCacheController final : public CoherentCache {
     DataBlock invStash;       // our line's data at that Inv
     int acksExpected = -1;  // unknown until the Data message arrives
     int acksReceived = 0;
-    std::deque<PendingOp> ops;
+    PooledFifo<PendingOp> ops;  // nodes in opPool_
   };
 
   void processOp(const CacheOp& op, CacheOpCallback cb);
-  void completeOp(const CacheOp& op, const CacheOpCallback& cb,
+  void completeOp(const CacheOp& op, CacheOpCallback& cb,
                   std::uint64_t value, bool performed);
   void startTransaction(Addr blk, bool wantM, PendingOp pending);
   void sendRequest(Addr blk, const Mshr& mshr);
@@ -107,6 +107,7 @@ class DirectoryCacheController final : public CoherentCache {
   CpuNotifier* cpu_ = nullptr;
   EpochObserver* epochs_ = nullptr;
   StorePerformHook storeHook_;
+  FifoPool<PendingOp> opPool_;  // ops queued behind an MSHR
   FlatMap<Addr, Mshr> mshrs_;
   FlatMap<Addr, DataBlock> wbBuffer_;
   std::uint32_t gen_ = 0;  // bumped by invalidateAll (BER recovery)

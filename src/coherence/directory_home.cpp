@@ -1,6 +1,7 @@
 #include "coherence/directory_home.hpp"
 
-#include "common/assert.hpp"
+#include <bit>
+
 #include "common/crc16.hpp"
 
 namespace dvmc {
@@ -14,16 +15,24 @@ DirectoryHome::DirectoryHome(Simulator& sim, TorusNetwork& net, NodeId node,
       map_(map),
       timings_(timings),
       sink_(sink),
-      memory_(/*eccProtected=*/true) {}
+      memory_(/*eccProtected=*/true) {
+  DVMC_ASSERT(map.numNodes <= kMaxNodes,
+              "the directory's sharer bitset holds at most 64 nodes");
+}
 
 NodeId DirectoryHome::ownerOf(Addr blk) const {
   auto it = dir_.find(blk);
   return it == dir_.end() ? kInvalidNode : it->second.owner;
 }
 
-std::set<NodeId> DirectoryHome::sharersOf(Addr blk) const {
+std::vector<NodeId> DirectoryHome::sharersOf(Addr blk) const {
+  std::vector<NodeId> out;
   auto it = dir_.find(blk);
-  return it == dir_.end() ? std::set<NodeId>{} : it->second.sharers;
+  if (it == dir_.end()) return out;
+  for (NodeSet bits = it->second.sharers; bits != 0; bits &= bits - 1) {
+    out.push_back(static_cast<NodeId>(std::countr_zero(bits)));
+  }
+  return out;
 }
 
 bool DirectoryHome::isBusy(Addr blk) const {
@@ -49,7 +58,7 @@ void DirectoryHome::onMessage(const Message& msg) {
       // decision is made when the controller actually picks the request up
       // (deciding at arrival would let two near-simultaneous requests both
       // observe a non-busy block and race).
-      e.pending.push_back(msg);
+      pendingPool_.push(e.pending, msg);
       sim_.schedule(timings_.ctrlLatency, [this, blk, g = gen_] {
         if (g != gen_) return;  // squashed by BER recovery
         serviceQueue(blk);
@@ -71,8 +80,7 @@ void DirectoryHome::onMessage(const Message& msg) {
 void DirectoryHome::serviceQueue(Addr blk) {
   DirEntry& e = dir_[blk];
   while (!e.busy && !e.pending.empty()) {
-    const Message msg = e.pending.front();
-    e.pending.pop_front();
+    const Message msg = pendingPool_.pop(e.pending);
     cServiced_.inc();
     process(msg, e);
     // GetS/GetM set busy (released by Unblock); PutM completes in place and
@@ -131,7 +139,7 @@ void DirectoryHome::handleGetS(const Message& msg, DirEntry& e) {
           hashBlock(memory_.read(blk, sink_, node_, sim_.now())));
     }
   }
-  e.sharers.insert(msg.src);
+  e.sharers |= nodeBit(msg.src);
   e.busy = true;
 }
 
@@ -143,10 +151,9 @@ void DirectoryHome::handleGetM(const Message& msg, DirEntry& e) {
                                  memory_.read(blk, sink_, node_, sim_.now()));
   }
 
-  std::set<NodeId> invTargets = e.sharers;
-  invTargets.erase(msg.src);
-  if (e.owner != kInvalidNode) invTargets.erase(e.owner);
-  const int ackCount = static_cast<int>(invTargets.size());
+  NodeSet invTargets = e.sharers & ~nodeBit(msg.src);
+  if (e.owner != kInvalidNode) invTargets &= ~nodeBit(e.owner);
+  const int ackCount = std::popcount(invTargets);
 
   if (e.owner != kInvalidNode && e.owner != msg.src) {
     Message fwd;
@@ -174,7 +181,8 @@ void DirectoryHome::handleGetM(const Message& msg, DirEntry& e) {
     sendDataFromMemory(blk, msg.src, ackCount);
   }
 
-  for (NodeId t : invTargets) {
+  for (NodeSet bits = invTargets; bits != 0; bits &= bits - 1) {
+    const NodeId t = static_cast<NodeId>(std::countr_zero(bits));
     Message inv;
     inv.type = MsgType::kInv;
     inv.src = node_;
@@ -193,7 +201,7 @@ void DirectoryHome::handleGetM(const Message& msg, DirEntry& e) {
                    : static_cast<std::uint16_t>(0));
   }
   e.owner = msg.src;
-  e.sharers.clear();
+  e.sharers = 0;
   e.busy = true;
 }
 
@@ -213,7 +221,7 @@ void DirectoryHome::handlePutM(const Message& msg, DirEntry& e) {
       homeObserver_->onHomeWriteback(blk, msg.src, hashBlock(msg.data),
                                      /*accepted=*/true);
     }
-    if (e.sharers.empty() && homeObserver_ != nullptr) {
+    if (e.sharers == 0 && homeObserver_ != nullptr) {
       // Note: silent S evictions make the sharer list conservative — the
       // home may believe sharers exist when they are gone, delaying MET
       // eviction, but never evicts an entry that is still live.

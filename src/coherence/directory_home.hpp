@@ -11,13 +11,14 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <set>
+#include <vector>
 
 #include "coherence/interfaces.hpp"
 #include "coherence/memory_storage.hpp"
+#include "common/assert.hpp"
 #include "common/error_sink.hpp"
 #include "common/flat_map.hpp"
+#include "common/pooled_fifo.hpp"
 #include "obs/metrics.hpp"
 #include "net/torus.hpp"
 #include "sim/simulator.hpp"
@@ -39,7 +40,8 @@ class DirectoryHome {
 
   /// Directory introspection for tests.
   NodeId ownerOf(Addr blk) const;
-  std::set<NodeId> sharersOf(Addr blk) const;
+  /// Registered sharers, in ascending node order.
+  std::vector<NodeId> sharersOf(Addr blk) const;
   bool isBusy(Addr blk) const;
 
   /// Number of blocks with a directory entry (MET sizing, Section 6.3).
@@ -48,17 +50,28 @@ class DirectoryHome {
   /// BER recovery: caches were invalidated and memory restored; memory owns
   /// every block again and pending transactions are squashed.
   void resetDirectory() {
+    for (auto& kv : dir_) pendingPool_.clear(kv.second.pending);
     dir_.clear();
     ++gen_;  // squash scheduled home events from the rolled-back past
   }
 
  private:
+  /// Sharer bitset: bit n set while node n is registered as a sharer.
+  /// Iterated lowest bit first, so Invs go out in ascending node order.
+  using NodeSet = std::uint64_t;
+  static constexpr std::size_t kMaxNodes = 64;
+
   struct DirEntry {
     NodeId owner = kInvalidNode;
-    std::set<NodeId> sharers;
+    NodeSet sharers = 0;
     bool busy = false;
-    std::deque<Message> pending;
+    PooledFifo<Message> pending;  // nodes in pendingPool_
   };
+
+  static NodeSet nodeBit(NodeId n) {
+    DVMC_ASSERT(n < kMaxNodes, "node id outside the sharer bitset");
+    return NodeSet{1} << n;
+  }
 
   void process(const Message& msg, DirEntry& e);
   void handleGetS(const Message& msg, DirEntry& e);
@@ -77,6 +90,7 @@ class DirectoryHome {
   ErrorSink* sink_;
   HomeObserver* homeObserver_ = nullptr;
   MemoryStorage memory_;
+  FifoPool<Message> pendingPool_;  // requests queued at a busy block
   FlatMap<Addr, DirEntry> dir_;
   std::uint32_t gen_ = 0;
   // Metric registry (stats_ must precede the handles).

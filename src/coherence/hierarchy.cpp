@@ -31,9 +31,9 @@ void CacheHierarchy::access(const CacheOp& op, CacheOpCallback cb) {
 
   if (isLoad) {
     // blk and isReplay are derived from `op` inside the event rather than
-    // captured: [this, op, cb] is the exact inline-capacity budget of
-    // Simulator::Action, and this fires for every load in the machine.
-    sim_.schedule(timings_.l1Latency, [this, op, cb = std::move(cb)] {
+    // captured: [this, op, cb] is 8 + 40 + 32 bytes of the action budget,
+    // and this fires for every load in the machine.
+    sim_.schedule(timings_.l1Latency, [this, op, cb = std::move(cb)]() mutable {
       const bool isReplay = op.kind == CacheOp::Kind::kReplayLoad;
       CacheLine* line = l1_.find(blockAddr(op.addr));
       if (line != nullptr) {
@@ -47,32 +47,50 @@ void CacheHierarchy::access(const CacheOp& op, CacheOpCallback cb) {
       } else {
         ++regularMisses_;
       }
-      forwardToL2(op, cb);
+      // The L1 refill happens in onOpCompleted, when the L2 answers.
+      l2_.request(op, std::move(cb));
     });
     return;
   }
 
   // Stores / atomics / prefetches go straight to L2 (write-through, no
-  // write-allocate at L1).
-  CacheOpCallback wrapped = cb;
-  if (op.kind == CacheOp::Kind::kStore ||
-      op.kind == CacheOp::Kind::kAtomicSwap ||
-      op.kind == CacheOp::Kind::kAtomicCas) {
-    wrapped = [this, op, cb = std::move(cb)](const CacheOpResult& r) {
+  // write-allocate at L1; onOpCompleted writes through to a resident line).
+  l2_.request(op, std::move(cb));
+}
+
+void CacheHierarchy::onOpCompleted(const CacheOp& op, const CacheOpResult& r) {
+  const Addr blk = blockAddr(op.addr);
+  switch (op.kind) {
+    case CacheOp::Kind::kLoad:
+    case CacheOp::Kind::kReplayLoad: {
+      // Refill the L1 with the block if the L2 still has read permission.
+      const DataBlock* data = l2_.peekReadable(blk);
+      if (data != nullptr && l1_.find(blk) == nullptr) {
+        CacheLine* victim =
+            l1_.victim(blk, [](const CacheLine&) { return true; });
+        DVMC_ASSERT(victim != nullptr, "L1 victim selection failed");
+        l1_.install(*victim, blk, MosiState::kS, *data);
+      }
+      return;
+    }
+    case CacheOp::Kind::kStore:
+    case CacheOp::Kind::kAtomicSwap:
+    case CacheOp::Kind::kAtomicCas: {
       const bool wrote = op.kind != CacheOp::Kind::kAtomicCas ||
                          r.value == op.compare;
-      CacheLine* line = l1_.find(blockAddr(op.addr));
+      CacheLine* line = l1_.find(blk);
       if (wrote && line != nullptr) {
         line->data.write(blockOffset(op.addr), op.size, op.value);
       }
-      if (cb) cb(r);
-    };
+      return;
+    }
+    case CacheOp::Kind::kPrefetchS:
+    case CacheOp::Kind::kPrefetchM:
+      return;
   }
-  l2_.request(op, std::move(wrapped));
 }
 
-void CacheHierarchy::finishLoadFromL1(const CacheOp& op,
-                                      const CacheOpCallback& cb,
+void CacheHierarchy::finishLoadFromL1(const CacheOp& op, CacheOpCallback& cb,
                                       CacheLine& line) {
   l1_.touch(line, sink_, node_, sim_.now());
   // The perform-time CET check fires even on an L1 hit: the CET tracks the
@@ -81,27 +99,11 @@ void CacheHierarchy::finishLoadFromL1(const CacheOp& op,
     l2_.epochObserver()->onPerformAccess(blockAddr(op.addr), false);
   }
   CacheOpResult r;
-  r.tag = op.tag;
   r.value = line.data.read(blockOffset(op.addr), op.size);
   r.l1Hit = true;
   r.performLogical = l2_.clock().now();
   r.completedAt = sim_.now();
   if (cb) cb(r);
-}
-
-void CacheHierarchy::forwardToL2(const CacheOp& op, CacheOpCallback cb) {
-  l2_.request(op, [this, op, cb = std::move(cb)](const CacheOpResult& r) {
-    // Refill the L1 with the block if the L2 still has read permission.
-    const Addr blk = blockAddr(op.addr);
-    const DataBlock* data = l2_.peekReadable(blk);
-    if (data != nullptr && l1_.find(blk) == nullptr) {
-      CacheLine* victim =
-          l1_.victim(blk, [](const CacheLine&) { return true; });
-      DVMC_ASSERT(victim != nullptr, "L1 victim selection failed");
-      l1_.install(*victim, blk, MosiState::kS, *data);
-    }
-    if (cb) cb(r);
-  });
 }
 
 }  // namespace dvmc

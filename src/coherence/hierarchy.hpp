@@ -32,6 +32,10 @@ class CacheHierarchy final : public CpuNotifier {
 
   // --- CpuNotifier (wired to the L2 controller) ---
   void onReadPermissionLost(Addr blk, bool remoteWrite) override;
+  /// Keeps the write-through L1 in step with an L2 completion: a performed
+  /// store or atomic writes through to a resident L1 line, and a load the
+  /// L2 served refills the L1. Runs just before the op's callback.
+  void onOpCompleted(const CacheOp& op, const CacheOpResult& r) override;
 
   CacheArray& l1() { return l1_; }
   CoherentCache& l2() { return l2_; }
@@ -46,9 +50,8 @@ class CacheHierarchy final : public CpuNotifier {
   }
 
  private:
-  void finishLoadFromL1(const CacheOp& op, const CacheOpCallback& cb,
+  void finishLoadFromL1(const CacheOp& op, CacheOpCallback& cb,
                         CacheLine& line);
-  void forwardToL2(const CacheOp& op, CacheOpCallback cb);
 
   Simulator& sim_;
   CoherentCache& l2_;

@@ -15,6 +15,7 @@
 #include <functional>
 
 #include "common/data_block.hpp"
+#include "common/inline_function.hpp"
 #include "common/types.hpp"
 #include "coherence/logical_clock.hpp"
 
@@ -45,18 +46,24 @@ struct CacheOp {
   std::size_t size = 8;
   std::uint64_t value = 0;    // store value / atomic new value
   std::uint64_t compare = 0;  // kAtomicCas: expected old value
-  std::uint64_t tag = 0;      // caller-owned token, echoed in the result
 };
 
 struct CacheOpResult {
-  std::uint64_t tag = 0;
   std::uint64_t value = 0;        // load result / atomic old value
   bool l1Hit = false;             // for replay-miss statistics (Fig. 6)
   std::uint64_t performLogical = 0;  // logical time at perform
   Cycle completedAt = 0;
 };
 
-using CacheOpCallback = std::function<void(const CacheOpResult&)>;
+/// Completion of a CacheOp. The 24-byte capture budget is the core's
+/// [this, seq, gen, restartGen] (8 + 8 + 4 + 4); the callback is moved —
+/// never copied — from the core through the hierarchy into an L2
+/// controller's scheduled action or MSHR queue, so it adds 32 bytes there
+/// and allocates nothing.
+using CacheOpCallback = InlineFunction<void(const CacheOpResult&), 24>;
+static_assert(sizeof(CacheOpCallback) <= 32,
+              "CacheOpCallback rides inside controller action captures "
+              "(Simulator::kActionCapacityBytes)");
 
 /// Hints from the cache to the processor for load-order speculation.
 /// `remoteWrite` is true when the loss is another processor taking write
@@ -69,6 +76,14 @@ class CpuNotifier {
  public:
   virtual ~CpuNotifier() = default;
   virtual void onReadPermissionLost(Addr blk, bool remoteWrite) = 0;
+
+  /// The L2 completed `op` with result `r`; called just before the op's
+  /// callback runs. The cache hierarchy keeps its write-through L1 in step
+  /// here (store/atomic write-through, load refill).
+  virtual void onOpCompleted(const CacheOp& op, const CacheOpResult& r) {
+    (void)op;
+    (void)r;
+  }
 };
 
 /// DVMC Cache Coherence checker hook implemented by CacheEpochChecker.

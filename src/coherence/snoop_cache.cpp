@@ -39,9 +39,9 @@ void SnoopCacheController::request(const CacheOp& op, CacheOpCallback cb) {
                          op.kind == CacheOp::Kind::kAtomicSwap ||
                          op.kind == CacheOp::Kind::kAtomicCas;
   const Cycle lat = writePath ? timings_.storeLatency : timings_.l2Latency;
-  sim_.schedule(lat, [this, op, cb = std::move(cb), g = gen_] {
+  sim_.schedule(lat, [this, op, cb = std::move(cb), g = gen_]() mutable {
     if (g != gen_) return;  // squashed by BER recovery
-    processOp(op, cb);
+    processOp(op, std::move(cb));
   });
 }
 
@@ -50,7 +50,7 @@ void SnoopCacheController::processOp(const CacheOp& op, CacheOpCallback cb) {
 
   auto mit = mshrs_.find(blk);
   if (mit != mshrs_.end()) {
-    mit->second.ops.push_back(PendingOp{op, std::move(cb)});
+    opPool_.push(mit->second.ops, PendingOp{op, std::move(cb)});
     return;
   }
 
@@ -107,7 +107,7 @@ void SnoopCacheController::processOp(const CacheOp& op, CacheOpCallback cb) {
 }
 
 void SnoopCacheController::completeOp(const CacheOp& op,
-                                      const CacheOpCallback& cb,
+                                      CacheOpCallback& cb,
                                       std::uint64_t value, bool performed) {
   if (performed && epochs_ != nullptr) {
     const bool isWrite = op.kind == CacheOp::Kind::kStore ||
@@ -116,10 +116,10 @@ void SnoopCacheController::completeOp(const CacheOp& op,
     epochs_->onPerformAccess(blockAddr(op.addr), isWrite);
   }
   CacheOpResult r;
-  r.tag = op.tag;
   r.value = value;
   r.performLogical = clock_.now();
   r.completedAt = sim_.now();
+  if (cpu_ != nullptr) cpu_->onOpCompleted(op, r);
   if (cb) cb(r);
 }
 
@@ -127,7 +127,7 @@ void SnoopCacheController::startTransaction(Addr blk, bool wantM,
                                             PendingOp pending) {
   Mshr& m = mshrs_[blk];
   m.wantM = wantM;
-  m.ops.push_back(std::move(pending));
+  opPool_.push(m.ops, std::move(pending));
 
   Message req;
   req.type = wantM ? MsgType::kSnpGetM : MsgType::kSnpGetS;
@@ -187,7 +187,7 @@ void SnoopCacheController::onSnoop(const Message& msg) {
   // and must wait for our data.
   auto it = mshrs_.find(blk);
   if (it != mshrs_.end() && it->second.ordered) {
-    it->second.deferredSnoops.push_back(msg);
+    snoopPool_.push(it->second.deferredSnoops, msg);
     cDeferredSnoop_.inc();
     return;
   }
@@ -307,10 +307,12 @@ void SnoopCacheController::maybeComplete(Addr blk) {
 
   // Perform the queued CPU operations inside our epoch, then honor the
   // snoops that were ordered after our request.
-  for (auto& p : done.ops) {
+  while (!done.ops.empty()) {
+    PendingOp p = opPool_.pop(done.ops);
     processOp(p.op, std::move(p.cb));
   }
-  for (const Message& snoop : done.deferredSnoops) {
+  while (!done.deferredSnoops.empty()) {
+    const Message snoop = snoopPool_.pop(done.deferredSnoops);
     applySnoop(snoop, snoop.snoopOrder + 1);
   }
 }
@@ -370,6 +372,10 @@ void SnoopCacheController::invalidateAll() {
     line.valid = false;
     line.state = MosiState::kI;
   });
+  for (auto& kv : mshrs_) {
+    opPool_.clear(kv.second.ops);
+    snoopPool_.clear(kv.second.deferredSnoops);
+  }
   mshrs_.clear();
   wbBuffer_.clear();
   ++gen_;  // squash scheduled controller events from the rolled-back past

@@ -9,13 +9,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "coherence/cache_array.hpp"
 #include "coherence/interfaces.hpp"
 #include "coherence/logical_clock.hpp"
 #include "common/error_sink.hpp"
 #include "common/flat_map.hpp"
+#include "common/pooled_fifo.hpp"
 #include "obs/metrics.hpp"
 #include "net/broadcast_tree.hpp"
 #include "net/torus.hpp"
@@ -72,12 +72,12 @@ class SnoopCacheController final : public CoherentCache {
     bool dataReceived = false;
     DataBlock data;
     bool selfSupply = false;  // O -> M upgrade: our line has the data
-    std::deque<Message> deferredSnoops;
-    std::deque<PendingOp> ops;
+    PooledFifo<Message> deferredSnoops;  // nodes in snoopPool_
+    PooledFifo<PendingOp> ops;  // nodes in opPool_
   };
 
   void processOp(const CacheOp& op, CacheOpCallback cb);
-  void completeOp(const CacheOp& op, const CacheOpCallback& cb,
+  void completeOp(const CacheOp& op, CacheOpCallback& cb,
                   std::uint64_t value, bool performed);
   void startTransaction(Addr blk, bool wantM, PendingOp pending);
   void maybeComplete(Addr blk);
@@ -100,6 +100,8 @@ class SnoopCacheController final : public CoherentCache {
   CpuNotifier* cpu_ = nullptr;
   EpochObserver* epochs_ = nullptr;
   StorePerformHook storeHook_;
+  FifoPool<PendingOp> opPool_;  // ops queued behind an MSHR
+  FifoPool<Message> snoopPool_;  // snoops deferred behind an MSHR
   FlatMap<Addr, Mshr> mshrs_;
   FlatMap<Addr, WbEntry> wbBuffer_;
   std::uint32_t gen_ = 0;  // bumped by invalidateAll (BER recovery)

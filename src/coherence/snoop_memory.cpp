@@ -47,7 +47,7 @@ void SnoopMemoryController::onSnoop(const Message& msg) {
         if (h.awaitingWb) {
           // Grant notification deferred to writeback-data arrival so the
           // shadow checker sees writeback-then-grant in logical order.
-          h.waiting.push_back(msg);
+          waitPool_.push(h.waiting, msg);
           deferredGrant = true;
           cHeldForWb_.inc();
         } else {
@@ -70,7 +70,7 @@ void SnoopMemoryController::onSnoop(const Message& msg) {
       bool deferredGrant = false;
       if (h.ownerCache == kInvalidNode) {
         if (h.awaitingWb) {
-          h.waiting.push_back(msg);
+          waitPool_.push(h.waiting, msg);
           deferredGrant = true;
           cHeldForWb_.inc();
         } else if (msg.src != kInvalidNode) {
@@ -125,9 +125,9 @@ void SnoopMemoryController::onMessage(const Message& msg) {
                                    /*accepted=*/true);
   }
   h.awaitingWb = false;
-  std::deque<Message> waiting;
-  waiting.swap(h.waiting);
-  for (const Message& w : waiting) {
+  PooledFifo<Message> waiting = std::move(h.waiting);
+  while (!waiting.empty()) {
+    const Message w = waitPool_.pop(waiting);
     supplyData(blk, w.src);
     if (homeObserver_ != nullptr) {
       homeObserver_->onHomeGrant(

@@ -11,13 +11,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "coherence/interfaces.hpp"
 #include "coherence/logical_clock.hpp"
 #include "coherence/memory_storage.hpp"
 #include "common/error_sink.hpp"
 #include "common/flat_map.hpp"
+#include "common/pooled_fifo.hpp"
 #include "obs/metrics.hpp"
 #include "net/torus.hpp"
 #include "sim/simulator.hpp"
@@ -46,6 +46,7 @@ class SnoopMemoryController {
 
   /// BER recovery: memory owns every block again.
   void resetState() {
+    for (auto& kv : state_) waitPool_.clear(kv.second.waiting);
     state_.clear();
     ++gen_;
   }
@@ -55,7 +56,8 @@ class SnoopMemoryController {
     NodeId ownerCache = kInvalidNode;  // kInvalidNode => memory owns
     bool awaitingWb = false;
     NodeId wbFrom = kInvalidNode;  // evictor whose WbData is in flight
-    std::deque<Message> waiting;  // requests memory must answer after WbData
+    PooledFifo<Message> waiting;  // requests memory must answer after
+                                  // WbData; nodes in waitPool_
   };
 
   void supplyData(Addr blk, NodeId dest);
@@ -70,6 +72,7 @@ class SnoopMemoryController {
   HomeObserver* homeObserver_ = nullptr;
   MemoryStorage memory_;
   CountingClock clock_;
+  FifoPool<Message> waitPool_;
   FlatMap<Addr, HomeState> state_;
   std::uint32_t gen_ = 0;
   // Metric registry (stats_ must precede the handles).

@@ -226,7 +226,7 @@ bool Core::phaseDispatch() {
       replayQueue_.pop_front();
     } else {
       inst = program_->next();
-      transactions_ = program_->transactionsCompleted();
+      refreshTransactions();
     }
     if (!inst) {
       dispatchBlocked_ = pendingTokens_ > 0;
@@ -347,7 +347,7 @@ void Core::issueExecute(RobEntry& e) {
         CacheOp pf;
         pf.kind = CacheOp::Kind::kPrefetchM;
         pf.addr = e.inst.addr;
-        mem_.access(pf, nullptr);
+        mem_.access(pf, {});
         cStorePrefetch_.inc();
       }
       return;
@@ -414,12 +414,15 @@ void Core::executeLoad(RobEntry& e) {
   // fires on the execution access.
   op.countsAsPerform = rmoLoad || vc_ == nullptr;
   cLoadIssued_.inc();
-  mem_.access(op, [this, seq = e.seq, gen = e.gen, rgen = restartGen_,
-                   rmoLoad](const CacheOpResult& r) {
+  // [this, seq, gen, rgen] is exactly CacheOpCallback's 24-byte budget:
+  // rmoLoad is recomputed from the entry's model (fixed at dispatch).
+  mem_.access(op, [this, seq = e.seq, gen = e.gen,
+                   rgen = restartGen_](const CacheOpResult& r) {
     if (rgen != restartGen_) return;
     wakeFromQuiet();
     RobEntry* e2 = entryBySeq(seq);
     if (e2 == nullptr || e2->gen != gen) return;
+    const bool rmoLoad = (e2->model == ConsistencyModel::kRMO);
     if (e2->squashPending) {
       e2->squashPending = false;
       ++e2->gen;
@@ -801,12 +804,24 @@ void Core::recordCommit(const RobEntry& e) {
   rec_->onCommit(r);
 }
 
+void Core::setTransactionTotal(std::uint64_t* total) {
+  txTotal_ = total;
+  if (txTotal_ != nullptr) *txTotal_ += transactions_;
+}
+
+void Core::refreshTransactions() {
+  const std::uint64_t now = program_->transactionsCompleted();
+  // Unsigned wrap makes this right when a restore lowers the count, too.
+  if (txTotal_ != nullptr) *txTotal_ += now - transactions_;
+  transactions_ = now;
+}
+
 void Core::deliverToken(RobEntry& e) {
   DVMC_ASSERT(pendingTokens_ > 0, "token bookkeeping underflow");
   --pendingTokens_;
   dispatchBlocked_ = false;
   program_->onResult(e.inst.token, e.execValue);
-  transactions_ = program_->transactionsCompleted();
+  refreshTransactions();
   e.inst.token = 0;
 }
 
@@ -1072,7 +1087,7 @@ void Core::restoreState(const ArchSnapshot& snap) {
   if (vc_ != nullptr) vc_->clear();
   if (ar_ != nullptr) ar_->reset();
   program_ = snap.program->clone();
-  transactions_ = program_->transactionsCompleted();
+  refreshTransactions();
   // Tokens inside the replay list re-deliver when the replayed instruction
   // verifies, matching the cloned program's waiting state.
   replayQueue_.assign(snap.replay.begin(), snap.replay.end());

@@ -78,9 +78,13 @@ class Core final : public CpuNotifier {
   void debugDump(std::FILE* out = stderr) const;
   std::uint64_t retired() const { return retiredCount_; }
   /// The program's completed transactions, refreshed wherever the core
-  /// calls into the program (the only way the count can change), so the
-  /// per-event stop check reads a member instead of a virtual call.
+  /// calls into the program (the only way the count can change), so no
+  /// reader needs a virtual call.
   std::uint64_t transactions() const { return transactions_; }
+  /// Adds this core's count to `*total` and keeps it current from then
+  /// on, so the owner reads the machine-wide sum in O(1) — the per-event
+  /// stop check. Not owned.
+  void setTransactionTotal(std::uint64_t* total);
   ThreadProgram& program() { return *program_; }
   NodeId node() const { return node_; }
 
@@ -200,6 +204,9 @@ class Core final : public CpuNotifier {
   bool phaseDispatch();
   bool drainWriteBuffer();
   void deliverToken(RobEntry& e);
+  /// Re-reads the program's transaction count into transactions_ (and the
+  /// running total).
+  void refreshTransactions();
 
   void issueExecute(RobEntry& e);
   void executeLoad(RobEntry& e);
@@ -241,6 +248,7 @@ class Core final : public CpuNotifier {
   std::uint64_t pendingTokens_ = 0;
   bool dispatchBlocked_ = false;  // program awaits feedback
   std::uint64_t transactions_ = 0;  // see transactions()
+  std::uint64_t* txTotal_ = nullptr;  // see setTransactionTotal()
   bool tickArmed_ = false;
   // Quiet ticks (see tick()): the last full tick changed nothing, so
   // until an outside signal or quietUntil_ every tick repeats it exactly:

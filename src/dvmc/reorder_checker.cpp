@@ -1,8 +1,65 @@
 #include "dvmc/reorder_checker.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace dvmc {
+
+namespace {
+// Dead slots tolerated beyond the live count before a compaction.
+constexpr std::size_t kDeadSlack = 32;
+}  // namespace
+
+void ReorderChecker::OutstandingSet::insert(SeqNum seq) {
+  if (slots_.empty() || seq > slots_.back().seq) {
+    // The common case: commits arrive in program order.
+    slots_.push_back(Slot{seq, true});
+    if (++live_ == 1) head_ = slots_.size() - 1;
+    return;
+  }
+  const auto it = std::lower_bound(
+      slots_.begin(), slots_.end(), seq,
+      [](const Slot& s, SeqNum v) { return s.seq < v; });
+  const std::size_t pos = static_cast<std::size_t>(it - slots_.begin());
+  if (it != slots_.end() && it->seq == seq) {
+    if (it->live) return;  // already outstanding (a re-commit)
+    it->live = true;
+  } else {
+    slots_.insert(it, Slot{seq, true});
+  }
+  ++live_;
+  head_ = std::min(head_, pos);
+}
+
+void ReorderChecker::OutstandingSet::erase(SeqNum seq) {
+  if (live_ == 0) return;
+  const auto first = slots_.begin() + static_cast<std::ptrdiff_t>(head_);
+  const auto it = std::lower_bound(
+      first, slots_.end(), seq,
+      [](const Slot& s, SeqNum v) { return s.seq < v; });
+  if (it == slots_.end() || it->seq != seq || !it->live) return;
+  it->live = false;
+  if (--live_ == 0) {
+    clear();
+    return;
+  }
+  while (!slots_[head_].live) ++head_;
+  if (slots_.size() - live_ > live_ + kDeadSlack) compact();
+}
+
+void ReorderChecker::OutstandingSet::clear() {
+  slots_.clear();  // keeps the capacity
+  head_ = 0;
+  live_ = 0;
+}
+
+void ReorderChecker::OutstandingSet::compact() {
+  slots_.erase(std::remove_if(slots_.begin(), slots_.end(),
+                              [](const Slot& s) { return !s.live; }),
+               slots_.end());
+  head_ = 0;
+}
 
 void ReorderChecker::onCommit(OpType type, SeqNum seq) {
   if (isLoadLike(type)) outstandingLoads_.insert(seq);
@@ -87,10 +144,8 @@ void ReorderChecker::onPerform(OpType type, std::uint8_t mask, SeqNum seq,
 
 void ReorderChecker::injectCheckpointMembar() {
   cInjectedMembars_.inc();
-  const SeqNum oldestLoad =
-      outstandingLoads_.empty() ? 0 : *outstandingLoads_.begin();
-  const SeqNum oldestStore =
-      outstandingStores_.empty() ? 0 : *outstandingStores_.begin();
+  const SeqNum oldestLoad = outstandingLoads_.oldest();
+  const SeqNum oldestStore = outstandingStores_.oldest();
 
   if (snapshotValid_) {
     // An operation outstanding across a full injection period was lost
@@ -133,10 +188,10 @@ void ReorderChecker::dumpForensics(Json& out) const {
            Json::num(static_cast<std::uint64_t>(outstandingLoads_.size())))
       .set("outstandingStores",
            Json::num(static_cast<std::uint64_t>(outstandingStores_.size())));
-  if (!outstandingLoads_.empty())
-    out.set("oldestOutstandingLoad", Json::num(*outstandingLoads_.begin()));
-  if (!outstandingStores_.empty())
-    out.set("oldestOutstandingStore", Json::num(*outstandingStores_.begin()));
+  if (outstandingLoads_.size() != 0)
+    out.set("oldestOutstandingLoad", Json::num(outstandingLoads_.oldest()));
+  if (outstandingStores_.size() != 0)
+    out.set("oldestOutstandingStore", Json::num(outstandingStores_.oldest()));
   out.set("snapshotValid", Json::boolean(snapshotValid_));
   if (snapshotValid_) {
     out.set("snapshotLoad", Json::num(snapshotLoad_))

@@ -19,8 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
+#include <vector>
 
 #include "common/error_sink.hpp"
 #include "common/types.hpp"
@@ -54,6 +53,11 @@ class ReorderChecker {
   const MetricSet& stats() const { return stats_; }
   SeqNum maxLoad() const { return maxLoad_; }
   SeqNum maxStore() const { return maxStore_; }
+  /// Oldest committed load / store that has not performed (0 = none).
+  SeqNum oldestOutstandingLoad() const { return outstandingLoads_.oldest(); }
+  SeqNum oldestOutstandingStore() const {
+    return outstandingStores_.oldest();
+  }
   void reset();
 
   /// Forensics dump: the per-class max{OP} sequence registers (including
@@ -63,6 +67,35 @@ class ReorderChecker {
   void dumpForensics(Json& out) const;
 
  private:
+  /// Committed-but-unperformed sequence numbers of one class, with the
+  /// semantics of a std::set<SeqNum> but only the oldest entry readable.
+  /// Commits arrive in increasing order, so the slots are a sorted buffer
+  /// that grows at the back; erase marks a slot dead (a binary search
+  /// away) and the front skips dead slots. Dead slots are compacted away
+  /// once they outnumber live ones, so a lost operation pinning the front
+  /// cannot grow the buffer without bound, and the steady state allocates
+  /// nothing.
+  class OutstandingSet {
+   public:
+    void insert(SeqNum seq);
+    void erase(SeqNum seq);
+    std::size_t size() const { return live_; }
+    /// Smallest live sequence number, or 0 when empty.
+    SeqNum oldest() const { return live_ == 0 ? 0 : slots_[head_].seq; }
+    void clear();
+
+   private:
+    struct Slot {
+      SeqNum seq = 0;
+      bool live = false;
+    };
+    void compact();
+
+    std::vector<Slot> slots_;  // strictly increasing seq
+    std::size_t head_ = 0;     // first live slot while live_ > 0
+    std::size_t live_ = 0;
+  };
+
   void checkAgainst(OpClass cls, std::uint8_t instMask, SeqNum seq,
                     const OrderingTable& table, const char* opName);
   void updateCounters(OpType type, std::uint8_t mask, SeqNum seq);
@@ -77,8 +110,8 @@ class ReorderChecker {
   SeqNum maxStore_ = 0;
   SeqNum maxMembarBit_[4] = {0, 0, 0, 0};
 
-  std::set<SeqNum> outstandingLoads_;
-  std::set<SeqNum> outstandingStores_;
+  OutstandingSet outstandingLoads_;
+  OutstandingSet outstandingStores_;
   SeqNum snapshotLoad_ = 0;   // oldest outstanding load at last injection
   SeqNum snapshotStore_ = 0;  // oldest outstanding store at last injection
   bool snapshotValid_ = false;

@@ -19,7 +19,7 @@ void VerificationCache::storeCommit(Addr addr, std::size_t size,
                                     std::uint64_t value, SeqNum seq) {
   DVMC_ASSERT(size == 8, "VC is word (8-byte) granular");
   WordEntry& e = words_[wordAlign(addr)];
-  e.stores.push_back(PendingStore{seq, value});
+  storePool_.push(e.stores, PendingStore{seq, value});
   cStoreCommit_.inc();
   gEntries_.set(words_.size());
 }
@@ -51,7 +51,7 @@ void VerificationCache::storePerformed(Addr addr, std::size_t size,
     }
     cDeallocMismatch_.inc();
   }
-  e.stores.erase(e.stores.begin());
+  storePool_.pop(e.stores);
   if (e.stores.empty() && !e.parkedLoad) words_.erase(it);
   gEntries_.set(words_.size());
   cStorePerformed_.inc();
@@ -68,23 +68,23 @@ void VerificationCache::storeSuperseded(Addr addr, std::size_t size,
     cPerformWithoutEntry_.inc();
     return;
   }
-  auto& stores = it->second.stores;
-  for (auto sit = stores.begin(); sit != stores.end(); ++sit) {
-    if (sit->seq != seq) continue;
-    if (sit->value != bufferedValue) {
-      if (sink_ != nullptr) {
-        sink_->report({CheckerKind::kUniprocessorOrdering, now, node_, addr,
-                       "write-buffer value mismatch at coalesce"});
-      }
-      cDeallocMismatch_.inc();
-    }
-    stores.erase(sit);
-    if (stores.empty() && !it->second.parkedLoad) words_.erase(it);
-    gEntries_.set(words_.size());
-    cStoreSuperseded_.inc();
+  WordEntry& e = it->second;
+  const std::optional<PendingStore> removed = storePool_.removeFirst(
+      e.stores, [seq](const PendingStore& p) { return p.seq == seq; });
+  if (!removed) {
+    cPerformWithoutEntry_.inc();
     return;
   }
-  cPerformWithoutEntry_.inc();
+  if (removed->value != bufferedValue) {
+    if (sink_ != nullptr) {
+      sink_->report({CheckerKind::kUniprocessorOrdering, now, node_, addr,
+                     "write-buffer value mismatch at coalesce"});
+    }
+    cDeallocMismatch_.inc();
+  }
+  if (e.stores.empty() && !e.parkedLoad) words_.erase(it);
+  gEntries_.set(words_.size());
+  cStoreSuperseded_.inc();
 }
 
 std::optional<std::uint64_t> VerificationCache::lookupStoreOlderThan(
@@ -92,11 +92,12 @@ std::optional<std::uint64_t> VerificationCache::lookupStoreOlderThan(
   DVMC_ASSERT(size == 8, "VC is word (8-byte) granular");
   auto it = words_.find(wordAlign(addr));
   if (it == words_.end()) return std::nullopt;
-  const auto& stores = it->second.stores;
-  for (auto rit = stores.rbegin(); rit != stores.rend(); ++rit) {
-    if (rit->seq < seq) return rit->value;
+  // The youngest (last, in commit order) pending store older than `seq`.
+  std::optional<std::uint64_t> value;
+  for (const PendingStore& s : it->second.stores) {
+    if (s.seq < seq) value = s.value;
   }
-  return std::nullopt;
+  return value;
 }
 
 std::optional<std::uint64_t> VerificationCache::lookupStore(

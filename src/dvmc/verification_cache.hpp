@@ -22,10 +22,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/error_sink.hpp"
 #include "common/flat_map.hpp"
+#include "common/pooled_fifo.hpp"
 #include "common/types.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -90,6 +90,7 @@ class VerificationCache {
   /// state — the evidence behind a UO deallocation-mismatch detection.
   void dumpForensics(Json& out, Addr focus) const;
   void clear() {
+    for (auto& kv : words_) storePool_.clear(kv.second.stores);
     words_.clear();
     gEntries_.set(0);
   }
@@ -100,7 +101,7 @@ class VerificationCache {
     std::uint64_t value = 0;
   };
   struct WordEntry {
-    std::vector<PendingStore> stores;  // oldest first
+    PooledFifo<PendingStore> stores;  // oldest first; nodes in storePool_
     std::uint64_t parkedValue = 0;
     bool parkedLoad = false;
   };
@@ -110,6 +111,7 @@ class VerificationCache {
   NodeId node_;
   std::size_t capacity_;
   ErrorSink* sink_;
+  FifoPool<PendingStore> storePool_;
   FlatMap<Addr, WordEntry> words_;
 
   // Metric registry (stats_ must precede the handles).

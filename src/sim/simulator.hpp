@@ -11,7 +11,7 @@
 // one per upcoming cycle, nonemptiness tracked in a single 64-bit mask —
 // and spills only far-future events (checkpoint intervals, membar-injection
 // timers) to a binary heap. Event nodes come from a slab-backed free list,
-// and the action is an InlineTask whose captures live *inside* the slab
+// and the action is an InlineFunction whose captures live *inside* the slab
 // node (one node = exactly two cache lines), so steady-state scheduling
 // performs zero allocations — including for the captures, which under the
 // old std::function Action heap-allocated whenever they exceeded ~16 bytes
@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/inline_task.hpp"
+#include "common/inline_function.hpp"
 #include "common/types.hpp"
 
 namespace dvmc {
@@ -35,12 +35,12 @@ class Simulator {
  public:
   /// Inline capture budget for scheduled actions. 96 bytes fits the widest
   /// hot-path capture — a coherence controller's [this, CacheOp,
-  /// CacheOpCallback, generation] — and lands sizeof(Event) on exactly two
-  /// cache lines. Captures that exceed it fail to compile at the
+  /// CacheOpCallback, generation], 8 + 40 + 32 + 4 = 84 bytes — and lands
+  /// sizeof(Event) on exactly two cache lines. Captures that exceed it fail to compile at the
   /// schedule() call site: pool the payload (see MessagePool) instead of
   /// raising the budget.
   static constexpr std::size_t kActionCapacityBytes = 96;
-  using Action = InlineTask<kActionCapacityBytes>;
+  using Action = InlineFunction<void(), kActionCapacityBytes>;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;

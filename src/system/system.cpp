@@ -285,6 +285,7 @@ void System::buildNode(NodeId n) {
                                      *node.hierarchy, makeProgram(n), &sink_,
                                      node.vc.get(), node.ar.get(), cfg_.dvmc);
   node.hierarchy->setCpuNotifier(node.core.get());
+  node.core->setTransactionTotal(&txTotal_);
 
   if (cfg_.protocol == Protocol::kDirectory) {
     node.dataRouter = std::make_unique<DirNodeRouter>(
@@ -300,12 +301,6 @@ void System::buildNode(NodeId n) {
                                                         node.snoopMem.get());
     tree_->attach(n, node.addrRouter.get());
   }
-}
-
-std::uint64_t System::totalTransactions() const {
-  std::uint64_t total = 0;
-  for (const Node& n : nodes_) total += n.core->transactions();
-  return total;
 }
 
 bool System::allCoresDone() const {
@@ -328,7 +323,7 @@ void System::finishTraceCapture() {
   if (traceRecorder_) traceRecorder_->finish();
 }
 
-RunResult System::runUntil(const std::function<bool()>& extraPred) {
+bool System::startRun() {
   if (!started_) {
     started_ = true;
     for (Node& n : nodes_) n.core->start();
@@ -344,17 +339,7 @@ RunResult System::runUntil(const std::function<bool()>& extraPred) {
   const WorkloadParams p = cfg_.workloadOverride
                                ? *cfg_.workloadOverride
                                : workloadPreset(cfg_.workload);
-  const bool barrierWorkload = p.barrierEveryTx != 0;
-  const Cycle startCycle = sim_.now();
-
-  auto pred = [this, barrierWorkload, &extraPred] {
-    if (extraPred()) return true;
-    if (allCoresDone()) return true;  // finite programs ran to completion
-    if (barrierWorkload) return false;
-    return totalTransactions() >= cfg_.targetTransactions;
-  };
-  const bool reached = sim_.runUntil(pred, startCycle + cfg_.maxCycles);
-  return collectResult(reached, sim_.now() - startCycle);
+  return p.barrierEveryTx != 0;
 }
 
 void System::drainCheckers() {

@@ -44,7 +44,23 @@ class System {
   RunResult run();
 
   /// Runs until `extraPred` becomes true as well (fault experiments).
-  RunResult runUntil(const std::function<bool()>& extraPred);
+  /// A template, like Simulator::runUntil, so the whole per-event stop
+  /// check — the caller's predicate, the all-done test and the running
+  /// transaction total — inlines into the dispatch loop.
+  template <class Pred>
+  RunResult runUntil(Pred&& extraPred) {
+    const bool barrierWorkload = startRun();
+    const Cycle startCycle = sim_.now();
+    const bool reached = sim_.runUntil(
+        [&] {
+          if (extraPred()) return true;
+          if (allCoresDone()) return true;  // finite programs completed
+          if (barrierWorkload) return false;
+          return txTotal_ >= cfg_.targetTransactions;
+        },
+        startCycle + cfg_.maxCycles);
+    return collectResult(reached, sim_.now() - startCycle);
+  }
 
   /// Closes the commit-trace capture: flushes the unsettled chunk tail to
   /// any attached trace sink and ends the stream. run() calls this;
@@ -62,7 +78,9 @@ class System {
 
   // --- measurement control ---
   void resetNetStats();
-  std::uint64_t totalTransactions() const;
+  /// Completed transactions summed over every core; O(1), a running
+  /// total each core keeps current (Core::setTransactionTotal).
+  std::uint64_t totalTransactions() const { return txTotal_; }
   bool allCoresDone() const;
 
   // --- component access (tests, fault injection, benches) ---
@@ -157,6 +175,10 @@ class System {
   };
   void buildSamplePlan();
   void scheduleSampleTick();
+  /// Starts the machine on the first call (cores, BER, interval
+  /// sampling). Returns whether the workload is barrier-driven: such a
+  /// run stops only when every core is done, not at a transaction target.
+  bool startRun();
 
   SystemConfig cfg_;
   Simulator sim_;
@@ -195,6 +217,7 @@ class System {
   std::uint64_t unrecoverable_ = 0;
   bool recoveryPending_ = false;  // a burst-consuming check is scheduled
   bool started_ = false;
+  std::uint64_t txTotal_ = 0;  // see totalTransactions()
 };
 
 }  // namespace dvmc

@@ -53,7 +53,7 @@ TEST(DirectoryProtocol, LoadBringsBlockShared) {
   // Home directory: node 0 is a sharer, no owner.
   DirectoryHome* home = sys->home(MemoryMap{4}.homeOf(kBlk));
   EXPECT_EQ(home->ownerOf(kBlk), kInvalidNode);
-  EXPECT_EQ(home->sharersOf(kBlk).count(0), 1u);
+  EXPECT_EQ(home->sharersOf(kBlk), std::vector<NodeId>{0});
   EXPECT_FALSE(home->isBusy(kBlk));
   EXPECT_EQ(r.detections, 0u);
 }
@@ -149,6 +149,26 @@ TEST(DirectoryProtocol, WriterInvalidatesSharers) {
   }
   EXPECT_EQ(cacheOf(*sys, 0).array().find(kBlk)->state, MosiState::kM);
   EXPECT_EQ(sys->home(MemoryMap{4}.homeOf(kBlk))->ownerOf(kBlk), 0u);
+}
+
+TEST(DirectoryProtocol, GetMSendsInvsInAscendingNodeOrder) {
+  // Four sharers (listed out of order here) and a writer: the home walks
+  // its sharer bitset lowest node first, so the Invs leave in ascending
+  // node order whatever order the sharers registered in.
+  SystemConfig cfg = baseConfig(8);
+  std::map<NodeId, std::vector<Instr>> progs;
+  for (NodeId n : {7u, 2u, 5u, 3u}) progs[n] = {Instr::load(kBlk)};
+  progs[0] = {Instr::compute(2000), Instr::store(kBlk, 5)};
+  auto sys = makeSystem(cfg, progs);
+  std::vector<NodeId> invDests;
+  sys->dataNet().setFaultFilter([&invDests](Message& m) {
+    if (m.type == MsgType::kInv && m.addr == kBlk) invDests.push_back(m.dest);
+    return NetFaultAction::kDeliver;
+  });
+  RunResult r = sys->run();
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(r.detections, 0u);
+  EXPECT_EQ(invDests, (std::vector<NodeId>{2, 3, 5, 7}));
 }
 
 TEST(DirectoryProtocol, UpgradeFromSharedToModified) {

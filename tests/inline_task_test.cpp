@@ -1,8 +1,11 @@
-// Unit tests for InlineTask: the fixed-inline-capacity move-only callable
-// backing Simulator::Action. The properties the kernel depends on: captures
-// live entirely inline (no heap), moves relocate the capture exactly once,
-// and destructors run exactly once — whether the task was invoked, moved
-// from, reset, or simply dropped.
+// Unit tests for InlineFunction: the fixed-inline-capacity move-only
+// callable backing both Simulator::Action (void()) and CacheOpCallback
+// (void(const CacheOpResult&)). The properties the kernel and the cache
+// hierarchy depend on: captures live entirely inline (no heap), moves
+// relocate the capture exactly once, and destructors run exactly once —
+// whether the function was invoked, moved from, reset, or simply dropped.
+// The InlineTask suite covers the nullary action form; InlineFunction
+// covers callables with arguments and a result.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -10,13 +13,14 @@
 #include <type_traits>
 #include <utility>
 
-#include "common/inline_task.hpp"
+#include "coherence/interfaces.hpp"
+#include "common/inline_function.hpp"
 #include "sim/simulator.hpp"
 
 namespace dvmc {
 namespace {
 
-using Task = InlineTask<64>;
+using Task = InlineFunction<void(), 64>;
 
 // ---------------------------------------------------------------------------
 // Basic invocation and emptiness
@@ -73,7 +77,7 @@ TEST(InlineTask, CompileTimeBudgetIsTheCaptureSize) {
   auto oversized = [p = Pad{}] { (void)p; };
   static_assert(sizeof(oversized) > Task::kCapacity,
                 "test premise: capture exceeds the budget");
-  static_assert(sizeof(oversized) <= InlineTask<72>::kCapacity,
+  static_assert(sizeof(oversized) <= InlineFunction<void(), 72>::kCapacity,
                 "and fits the next size up");
 }
 
@@ -177,6 +181,92 @@ TEST(InlineTask, SimulatorActionBudgetIsStable) {
   // bump it" shows up in review with the Event-size static_assert.
   static_assert(Simulator::kActionCapacityBytes == 96);
   static_assert(Simulator::Action::kCapacity ==
+                Simulator::kActionCapacityBytes);
+}
+
+// ---------------------------------------------------------------------------
+// Callables with arguments (CacheOpCallback's shape)
+// ---------------------------------------------------------------------------
+
+using Completion = InlineFunction<void(const CacheOpResult&), 24>;
+
+TEST(InlineFunction, InvokesWithArgumentsAndResult) {
+  InlineFunction<int(int, int), 16> add([](int a, int b) { return a + b; });
+  EXPECT_EQ(add(2, 3), 5);
+  int base = 10;
+  InlineFunction<int(int), 16> offset([&base](int x) { return base + x; });
+  EXPECT_EQ(offset(1), 11);
+  base = 20;
+  EXPECT_EQ(offset(1), 21);  // captures by reference stay live
+}
+
+TEST(InlineFunction, PassesReferenceArgumentsThrough) {
+  std::uint64_t seen = 0;
+  Completion cb([&seen](const CacheOpResult& r) { seen = r.value; });
+  CacheOpResult r;
+  r.value = 0xabc;
+  cb(r);
+  EXPECT_EQ(seen, 0xabcu);
+  // Move-only arguments are forwarded, not copied.
+  InlineFunction<int(std::unique_ptr<int>), 8> take(
+      [](std::unique_ptr<int> p) { return *p; });
+  EXPECT_EQ(take(std::make_unique<int>(5)), 5);
+}
+
+TEST(InlineFunction, EmptyStateAndReset) {
+  Completion cb;
+  EXPECT_FALSE(static_cast<bool>(cb));
+  cb = Completion([](const CacheOpResult&) {});
+  EXPECT_TRUE(static_cast<bool>(cb));
+  cb.reset();
+  EXPECT_FALSE(static_cast<bool>(cb));
+}
+
+TEST(InlineFunction, IsMoveOnly) {
+  static_assert(!std::is_copy_constructible_v<Completion>);
+  static_assert(!std::is_copy_assignable_v<Completion>);
+  static_assert(std::is_nothrow_move_constructible_v<Completion>);
+  static_assert(std::is_nothrow_move_assignable_v<Completion>);
+}
+
+TEST(InlineFunction, RelocationKeepsTheCaptureAndItsOwnership) {
+  auto count = std::make_shared<int>(0);
+  int calls = 0;
+  {
+    // A capture that owns a resource and counts calls: relocating it
+    // (what the coherence queues do) moves the one live copy.
+    Completion a([count, &calls](const CacheOpResult& r) {
+      calls += static_cast<int>(r.value);
+    });
+    EXPECT_EQ(count.use_count(), 2);
+    Completion b(std::move(a));
+    EXPECT_FALSE(static_cast<bool>(a));
+    Completion c;
+    c = std::move(b);
+    EXPECT_EQ(count.use_count(), 2);
+    CacheOpResult r;
+    r.value = 3;
+    c(r);
+    c(r);
+  }
+  EXPECT_EQ(calls, 6);
+  EXPECT_EQ(count.use_count(), 1);  // destroyed exactly once
+}
+
+TEST(InlineFunction, CompletionBudgetIsTheCoreCapture) {
+  // The core's completion capture is [this, seq, gen, restartGen]; the
+  // callback must stay 32 bytes so a controller's [this, op, cb, gen]
+  // action fits Simulator::kActionCapacityBytes.
+  struct CoreCapture {
+    void* self;
+    SeqNum seq;
+    std::uint32_t gen;
+    std::uint32_t rgen;
+  };
+  static_assert(sizeof(CoreCapture) <= CacheOpCallback::kCapacity);
+  static_assert(sizeof(CacheOpCallback) == 32);
+  static_assert(sizeof(void*) + sizeof(CacheOp) + sizeof(CacheOpCallback) +
+                    sizeof(std::uint32_t) <=
                 Simulator::kActionCapacityBytes);
 }
 

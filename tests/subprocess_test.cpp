@@ -305,6 +305,23 @@ SubprocessOptions campaign(const std::vector<std::string>& extraArgs,
   return o;
 }
 
+/// `o` run with `dir` as its working directory (the shell cd's there and
+/// execs argv unchanged).
+SubprocessOptions runFrom(const fs::path& dir, SubprocessOptions o) {
+  std::vector<std::string> argv = {shellArgv0(), "-c",
+                                   "cd \"$0\" && exec \"$@\"", dir.string()};
+  argv.insert(argv.end(), o.argv.begin(), o.argv.end());
+  o.argv = std::move(argv);
+  return o;
+}
+
+std::string bundleString(const fs::path& bundle, const char* key) {
+  const std::optional<Json> j = Json::parse(readFile(bundle));
+  if (!j) return "<unparseable>";
+  const Json* v = j->find(key);
+  return v != nullptr ? v->asString() : "<missing>";
+}
+
 std::string quarantineReason(const fs::path& bundle) {
   const std::optional<Json> j = Json::parse(readFile(bundle));
   if (!j) return "<unparseable>";
@@ -323,8 +340,13 @@ TEST(CampaignSupervision, ChaosRunLosesNothing) {
       "--quarantine-dir", tmp.str("q"),
       "--journal", tmp.str("journal.jsonl"),
       "--escape-dir", tmp.str("esc")};
-  const SubprocessResult chaos = runSubprocess(
-      campaign(base, {{"DVMC_TEST_CRASH_AT", "3=segv,11=abort,17=hang"}}));
+  // Run from the directory above the binary's own, so the bundles' repro
+  // names the binary relative to it.
+  const fs::path bin = fs::canonical(DVMC_CAMPAIGN_BIN);
+  const fs::path runDir = bin.parent_path().parent_path();
+  const SubprocessResult chaos = runSubprocess(runFrom(
+      runDir,
+      campaign(base, {{"DVMC_TEST_CRASH_AT", "3=segv,11=abort,17=hang"}})));
   ASSERT_TRUE(chaos.status.clean())
       << chaos.status.describe() << "\n" << chaos.stderrTail;
 
@@ -343,6 +365,18 @@ TEST(CampaignSupervision, ChaosRunLosesNothing) {
     ++bundles;
   }
   EXPECT_EQ(bundles, 3u);
+  // The repro is runnable from the campaign's working directory in any
+  // checkout: './tools/dvmc_campaign' '--worker' '{…}', not the absolute
+  // path of this build.
+  const std::string reproPrefix =
+      "'./" + bin.lexically_relative(runDir).string() + "' '--worker' '{";
+  for (const char* leaf : {"param_3_attempt_1.json", "param_11_attempt_1.json",
+                           "param_17_attempt_1.json"}) {
+    EXPECT_EQ(bundleString(tmp.path / "q" / leaf, "repro")
+                  .rfind(reproPrefix, 0),
+              0u)
+        << leaf << ": " << bundleString(tmp.path / "q" / leaf, "repro");
+  }
 
   std::string err;
   const std::optional<obs::JournalContents> jc =

@@ -288,12 +288,28 @@ CaseOutcome runFaulted(int param, const CampaignOptions& opt,
   return out;
 }
 
-/// A shell command line that replays `argv` exactly.
-std::string shellCommand(const std::vector<std::string>& argv) {
+/// The executable as a bundle's `repro` names it: relative to the working
+/// directory (`./build/tools/dvmc_campaign`) when it lies below it, so a
+/// bundle stays runnable from any checkout of the same tree; otherwise the
+/// absolute path. Only the repro line uses this form: the supervisor
+/// spawns the absolute path.
+std::string reproExePath(const std::string& exe) {
+  std::error_code ec;
+  const std::filesystem::path cwd = std::filesystem::current_path(ec);
+  if (ec) return exe;
+  const std::filesystem::path rel =
+      std::filesystem::path(exe).lexically_relative(cwd);
+  if (rel.empty() || *rel.begin() == "..") return exe;
+  return "./" + rel.string();
+}
+
+/// A shell command line that replays `argv` exactly, with argv[0] in its
+/// reproExePath form: a bundle's `repro`.
+std::string reproCommand(const std::vector<std::string>& argv) {
   std::string cmd;
-  for (const std::string& a : argv) {
-    if (!cmd.empty()) cmd += ' ';
-    cmd += '\'' + a + '\'';
+  for (std::size_t i = 0; i < argv.size(); ++i) {
+    if (i != 0) cmd += ' ';
+    cmd += '\'' + (i == 0 ? reproExePath(argv[0]) : argv[i]) + '\'';
   }
   return cmd;
 }
@@ -447,7 +463,7 @@ int runWorkerMode(const char* self, const char* specText) {
   }
 
   maybeInjectTestCrash(param, attempt);
-  const std::string repro = shellCommand({self, "--worker", specText});
+  const std::string repro = reproCommand({self, "--worker", specText});
 
   Json result = Json::object();
   result.set("schema", Json::str(kResultSchemaName));
@@ -543,7 +559,7 @@ void writeQuarantine(const CampaignOptions& opt, int param, int attempt,
                       .set("cpuSeconds", Json::num(spawn.limits.cpuSeconds))
                       .set("deadlineMs", Json::num(spawn.deadlineMs)));
   j.set("stderrTail", Json::str(r.stderrTail));
-  j.set("repro", Json::str(shellCommand(spawn.argv)));
+  j.set("repro", Json::str(reproCommand(spawn.argv)));
   j.set("fuzz", Json::object()
                     .set("param", Json::num(std::int64_t{param}))
                     .set("seedBase", Json::num(opt.seedBase)));
